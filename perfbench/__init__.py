@@ -8,7 +8,9 @@ Run one workload (the command ``BENCHMARK.json`` names)::
 metrics of a separate traced run; ``--workload all`` runs the four
 workloads in one process and prints every metric of each.  The last line
 of standard output is one JSON object (``correct``, ``attempted``,
-``failed``, ``metrics``).
+``failed``, ``metrics``).  End-to-end times are at the reference host
+speed, scaled by a probe taken beside each of them
+(:mod:`perfbench.catalog` says why).
 
 Nothing under ``src/`` is instrumented for this: per-layer numbers come
 from wrapping the public functions of each module (:mod:`perfbench.layers`)

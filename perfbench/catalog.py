@@ -17,6 +17,19 @@ latency_p90_ms                                each request's due time
 peak_rss_mb       ``ru_maxrss`` at the end    same                          same
 ================  ==========================  ============================  ==========================
 
+Every end-to-end time and rate is at the *reference host speed*: a fixed
+pure-Python probe (``common.probe_s``) runs after each timed operation or
+phase and around each set-up, and each time is multiplied by
+``common.REFERENCE_PROBE_S`` over the probes taken beside it.  The shared
+host's speed moves by up to 1.8x in phases of tens of seconds, and every
+workload's raw times moved with it; scaled, runs of the same code agree.
+The probe is the benchmark's own code, so a change to the program moves
+the scaled numbers exactly as it moves the raw ones.  serve_open's
+latencies keep the part the server's batching window (a timer) can
+account for as measured.  The report prints the raw figures beside the
+scaled ones.  Per-layer times are raw.  The process runs on one CPU, so
+the probe measures the CPU the serving worker runs on too.
+
 Per-layer metrics of a layer a workload bypasses read 0.
 """
 

@@ -74,36 +74,78 @@ def median(values: Sequence[float]) -> float:
     return quantile(values, 0.5)
 
 
-def timed_setup(build: Callable[[], T]) -> Tuple[T, float]:
-    """Run one set-up from a clean collector state: ``(result, seconds)``.
+def timed_setup(build: Callable[[], T]) -> Tuple[T, float, float]:
+    """Run one set-up from a clean collector state.
 
-    Garbage the workload left behind would otherwise be collected inside
-    whichever set-up crosses the allocation threshold; that made the
-    set-ups of one run differ by 2x.
+    Returns ``(result, seconds, seconds at the reference host speed)``,
+    the latter scaled by the probes taken just before and after.  Garbage
+    the workload left behind would otherwise be collected inside whichever
+    set-up crosses the allocation threshold; that made the set-ups of one
+    run differ by 2x.  Collecting again after the set-up keeps the full
+    collection its new objects trigger out of the next timed operation,
+    which it had slowed by up to 4x.
     """
     gc.collect()
+    before = probe_s(3)
     t0 = time.perf_counter()
     result = build()
-    return result, time.perf_counter() - t0
+    seconds = time.perf_counter() - t0
+    gc.collect()
+    after = probe_s(3)
+    return result, seconds, seconds * REFERENCE_PROBE_S / ((before + after) / 2)
 
 
 # --------------------------------------------------------------------------- #
 # Host speed
 # --------------------------------------------------------------------------- #
-def host_probe_ms() -> float:
-    """Median time of a fixed Python + NumPy loop: the host's current speed."""
-    a = np.arange(1 << 16, dtype=np.float64)
-    out = np.empty_like(a)
+#: The probe's time on the reference host: a 2-vCPU Xeon in its fast phase.
+#: Every end-to-end time is reported at this speed (see :func:`scaled`).
+REFERENCE_PROBE_S = 2.0e-3
+
+
+def probe_s(reps: int = 1) -> float:
+    """Median seconds of a fixed pure-Python loop: the host's current speed.
+
+    The shared host's speed moves in phases lasting from seconds to minutes
+    by up to 1.8x, and every workload's times move with it: over ten minutes of
+    20 s windows the raw times of a tape query, an entropy query and a
+    Fig. 4 profile spread 0.22-0.36 (quartile distance over median) and
+    correlated 0.93-0.97 with this loop.  The loop is the benchmark's own
+    code, so no change to the program moves it.
+    """
     samples = []
-    for _ in range(15):
+    for _ in range(reps):
         t0 = time.perf_counter()
+        table = {}
         acc = 0
-        for i in range(5000):
+        for i in range(20000):
             acc += i * i
-        for _ in range(20):
-            np.multiply(a, 1.0000001, out=out)
-        samples.append((time.perf_counter() - t0) * 1e3)
+            table[i & 255] = acc
+        sorted(table.values())
+        samples.append(time.perf_counter() - t0)
     return median(samples)
+
+
+def scaled(seconds: Sequence[float], probes: Sequence[float], width: int = 5) -> List[float]:
+    """``seconds[i]`` at the reference host speed.
+
+    ``probes[i]`` is a :func:`probe_s` taken right after ``seconds[i]`` was
+    measured; each time is scaled by the median of the ``width`` probes
+    nearest to it, which follows the host's phases while ignoring one
+    probe's jitter.  Scaling this way cut the spread of those 20 s windows
+    to 0.02-0.09.
+    """
+    n = len(probes)
+    out = []
+    for i, s in enumerate(seconds):
+        lo = max(0, min(i - width // 2, n - width))
+        out.append(s * REFERENCE_PROBE_S / median(probes[lo:lo + width]))
+    return out
+
+
+def host_probe_ms() -> float:
+    """The probe's median over 15 repetitions, in ms (recorded, not used to scale)."""
+    return probe_s(15) * 1e3
 
 
 def np_add_gbps() -> float:

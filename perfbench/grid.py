@@ -1,14 +1,19 @@
-"""The ``fig4_eval`` workload: the paper's Fig. 4 grid, profile by profile.
+"""The ``fig4_eval`` workload: the paper's Fig. 4 grid, point by point.
 
-Each operation is ``repro.experiments.fig4.run([profile])``: one profile on
-CPU, GPU, Pvect and Ptree (the cone/scheduler compiler plus the
-cycle-accurate simulator in strict mode) — four Fig. 4 points.  Profiles run
-in a seeded order, a fresh permutation per pass over the nine, until the run
-has lasted ``seconds`` and covered the whole grid at least once.
+Each operation is one Fig. 4 point, ``run_suite([profile], (platform,))``
+— the call ``repro.experiments.fig4.run`` makes for the whole grid — on
+CPU, GPU, Pvect or Ptree (the latter two through the cone/scheduler
+compiler and the cycle-accurate simulator in strict mode).  The 36 points
+run in a seeded order, a fresh permutation per pass, until the run has
+lasted ``seconds`` and covered the whole grid at least once.  A point takes
+0.03-1.5 s where a whole profile took up to 2.7 s, short enough for the
+probe after it to catch the host's speed while it ran.
 
 Set-up is the cold build of the nine SPNs and their operation lists (the
 suite registry's caches cleared first), repeated between operations and
-reported as the median.
+reported as the median.  A host probe runs after every operation and
+around every set-up, and the reported times are at the reference host
+speed (``common.scaled``).
 
 Checks: strict simulation verifies every value the processor transports
 (a mismatch raises, failing the operation); every repeated point must
@@ -18,6 +23,7 @@ be positive and finite.
 
 from __future__ import annotations
 
+import gc
 import math
 import time
 from dataclasses import dataclass, field
@@ -25,14 +31,14 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.experiments import fig4
+from repro.experiments.platforms import DEFAULT_PLATFORMS as PLATFORMS
+from repro.experiments.platforms import run_suite
 from repro.suite import registry
 
-from .common import Outcomes, median, quantile, timed_setup
+from .common import Outcomes, median, probe_s, quantile, scaled, timed_setup
 
-PLATFORMS = ("CPU", "GPU", "Pvect", "Ptree")
 #: Cold set-ups per run: one before the first operation, then one after
-#: every second operation of the first pass over the nine profiles.
+#: every ninth operation of the first pass over the 36 points.
 SETUP_REPS = 5
 
 
@@ -40,12 +46,16 @@ SETUP_REPS = 5
 class GridRun:
     outcomes: Outcomes
     setup_s: List[float] = field(default_factory=list)
-    #: (profile, seconds, traced) per fig4.run call.
-    calls: List[Tuple[str, float, bool]] = field(default_factory=list)
+    #: The same set-ups at the reference host speed.
+    setup_ref_s: List[float] = field(default_factory=list)
+    #: (profile, platform, seconds, traced) per evaluated point.
+    calls: List[Tuple[str, str, float, bool]] = field(default_factory=list)
+    #: The host probe taken right after each call (see ``common.scaled``).
+    probes: List[float] = field(default_factory=list)
     #: profile -> platform -> (cycles, ops/cycle) of the first evaluation.
     points: Dict[str, Dict[str, Tuple[int, float]]] = field(default_factory=dict)
-    #: Tracer counters of each profile's first traced evaluation.
-    first_counts: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    #: Tracer counters of each point's first traced evaluation.
+    first_counts: Dict[Tuple[str, str], Dict[str, float]] = field(default_factory=dict)
 
 
 def build_suite() -> None:
@@ -69,56 +79,59 @@ def run_grid(seed: int, seconds: float, traced=lambda i: False, tracer=None) -> 
     def setup() -> None:
         if tracer is not None:
             tracer.install()
-        run.setup_s.append(timed_setup(build_suite)[1])
+        _, seconds, reference = timed_setup(build_suite)
+        run.setup_s.append(seconds)
+        run.setup_ref_s.append(reference)
         if tracer is not None:
             tracer.uninstall()
 
     setup()
-    setup_every = len(names) // (SETUP_REPS - 1)
+    grid = [(name, platform) for name in names for platform in PLATFORMS]
+    setup_every = len(grid) // (SETUP_REPS - 1)
     start = time.perf_counter()
     index = 0
     done = False
     while not done:
-        for p in rng.permutation(len(names)):
-            name = names[p]
+        for p in rng.permutation(len(grid)):
+            name, platform = grid[p]
             trace = tracer is not None and traced(index)
             before = dict(tracer.counts) if trace else None
+            # Each point starts from a collected heap, so the collections it
+            # pays are those its own allocations trigger, whatever ran before.
+            gc.collect()
             if trace:
                 tracer.install()
             t0 = time.perf_counter()
             try:
-                results = fig4.run([name])[name]
+                result = run_suite([name], (platform,))[name][platform]
             except Exception as exc:  # strict simulation failed, or worse
-                results = None
-                run.outcomes.errors.append(f"{name}: {exc!r}")
+                result = None
+                run.outcomes.errors.append(f"{name} {platform}: {exc!r}")
             elapsed = time.perf_counter() - t0
             if trace:
                 tracer.uninstall()
-                if name not in run.first_counts:
-                    run.first_counts[name] = {
-                        k: v - before.get(k, 0.0) for k, v in tracer.counts.items()
-                    }
+                run.first_counts.setdefault((name, platform), {
+                    k: v - before.get(k, 0.0) for k, v in tracer.counts.items()
+                })
             index += 1
-            if results is None:
-                for _ in PLATFORMS:
-                    run.outcomes.record(False)
+            if result is None:
+                run.outcomes.record(False)
                 continue
-            run.calls.append((name, elapsed, trace))
-            first = run.points.setdefault(
-                name, {p: (r.cycles, r.ops_per_cycle) for p, r in results.items()}
+            run.calls.append((name, platform, elapsed, trace))
+            run.probes.append(probe_s(3))
+            first = run.points.setdefault(name, {}).setdefault(
+                platform, (result.cycles, result.ops_per_cycle)
             )
-            for platform in PLATFORMS:
-                result = results.get(platform)
-                ok = (
-                    result is not None
-                    and math.isfinite(result.ops_per_cycle)
-                    and result.ops_per_cycle > 0
-                    and (result.cycles, result.ops_per_cycle) == first[platform]
-                )
-                run.outcomes.record(ok, f"{name} {platform}: not reproduced")
+            run.outcomes.record(
+                math.isfinite(result.ops_per_cycle)
+                and result.ops_per_cycle > 0
+                and (result.cycles, result.ops_per_cycle) == first,
+                f"{name} {platform}: not reproduced",
+            )
             if len(run.setup_s) < SETUP_REPS and index % setup_every == 0:
                 setup()
-            if time.perf_counter() - start >= seconds and len(run.points) == len(names):
+            covered = sum(len(platforms) for platforms in run.points.values())
+            if time.perf_counter() - start >= seconds and covered == len(grid):
                 done = True
                 break
     while len(run.setup_s) < SETUP_REPS:
@@ -129,31 +142,35 @@ def run_grid(seed: int, seconds: float, traced=lambda i: False, tracer=None) -> 
 def measure(seed: int, seconds: float, tracer=None):
     """Run fig4_eval; returns (outcomes, end-to-end, per-layer, notes).
 
-    The traced run traces the first pass over the nine profiles (so the
+    The traced run traces the first pass over the 36 points (so the
     per-grid counts are complete) and leaves later operations untraced.
+    A profile's latency is the sum of its four points' median times.
     """
     names = registry.benchmark_names()
-    traced = (lambda i: i < len(names)) if tracer is not None else (lambda i: False)
+    n_points = len(names) * len(PLATFORMS)
+    traced = (lambda i: i < n_points) if tracer is not None else (lambda i: False)
     run = run_grid(seed, seconds, traced=traced, tracer=tracer)
-    by_profile: Dict[str, List[float]] = {}
-    untraced: Dict[str, List[float]] = {}
-    for name, elapsed, trace in run.calls:
-        by_profile.setdefault(name, []).append(elapsed)
-        if not trace:
-            untraced.setdefault(name, []).append(elapsed)
-    timed = untraced if tracer is None else by_profile
-    per_profile = [median(v) for v in timed.values()]
+    # Seconds per call at the reference host speed.
+    at_reference = scaled([call[2] for call in run.calls], run.probes)
+    by_point: Dict[Tuple[str, str], List[float]] = {}
+    untraced: Dict[Tuple[str, str], List[float]] = {}
+    traced_times: Dict[Tuple[str, str], List[float]] = {}
+    for (name, platform, _, trace), elapsed in zip(run.calls, at_reference):
+        by_point.setdefault((name, platform), []).append(elapsed)
+        (traced_times if trace else untraced).setdefault((name, platform), []).append(elapsed)
+    per_profile = [sum(median(by_point[n, p]) for p in PLATFORMS) for n in names]
     grid_s = sum(per_profile)
     end_to_end = {
-        "setup_s": median(run.setup_s),
-        "work_per_s": len(PLATFORMS) * len(per_profile) / grid_s,
+        "setup_s": median(run.setup_ref_s),
+        "work_per_s": n_points / grid_s,
         "latency_p50_ms": quantile(per_profile, 0.5) * 1e3,
         "latency_p90_ms": quantile(per_profile, 0.9) * 1e3,
     }
     ptree = geomean(run.points[n]["Ptree"][1] for n in names)
     pvect = geomean(run.points[n]["Pvect"][1] for n in names)
     notes = [
-        f"{len(run.calls)} profile evaluations, grid time {grid_s:.2f} s",
+        f"{len(run.calls)} point evaluations, grid time {grid_s:.2f} s at the "
+        f"reference speed; host probe median {median(run.probes) * 1e3:.3f} ms",
         "set-ups (s): " + " ".join(f"{s:.3f}" for s in run.setup_s),
         f"simulated ops/cycle, geometric mean over the nine profiles: "
         f"Ptree {ptree:.6f}  Pvect {pvect:.6f}",
@@ -170,15 +187,11 @@ def measure(seed: int, seconds: float, tracer=None):
     t = tracer.total_s
     setups = len(run.setup_s)
     first = run.first_counts
-    traced_times: Dict[str, List[float]] = {}
-    for name, elapsed, trace in run.calls:
-        if trace:
-            traced_times.setdefault(name, []).append(elapsed)
     ratios = [
         median(traced_times[n]) / median(untraced[n])
         for n in untraced if n in traced_times
     ]
-    wall = sum(e for _, e, tr in run.calls if tr) + sum(run.setup_s)
+    wall = sum(call[2] for call in run.calls if call[3]) + sum(run.setup_s)
     _, unattributed, _ = tracer.accounting(wall)
     layers.update({
         "spn.generate_s": t["spn.generate"] / setups,

@@ -9,7 +9,9 @@ depend on the seed — only the evidence values and the order do.
 Set-up is the cold build of every session from its generator profile —
 generate, linearize, compile the tape, plan memory, ``verify_compiled``.
 It is repeated at evenly spaced instants across the run and reported as the
-median, so one slow phase of the host cannot decide it.
+median, so one slow phase of the host cannot decide it.  A host probe runs
+after every query and around every set-up, and the reported times are at
+the reference host speed (``common.scaled``).
 
 After the timed window the ``engine="python"`` reference walk re-answers
 the first rows of every value query, and of the first few queries of each
@@ -47,7 +49,9 @@ from repro.spn.linearize import linearize
 from repro.statics.verifier import verify_compiled
 from repro.suite.registry import get_profile
 
-from .common import Outcomes, median, quantile, timed_setup, values_close, values_equal
+from .common import (
+    Outcomes, median, probe_s, quantile, scaled, timed_setup, values_close, values_equal,
+)
 
 #: Observed-variable share of generated evidence rows.
 OBSERVED = 0.7
@@ -325,8 +329,12 @@ def check_prefix(reference: InferenceSession, head, result) -> bool:
 class OfflineRun:
     outcomes: Outcomes
     setup_s: List[float]
+    #: The same set-ups at the reference host speed.
+    setup_ref_s: List[float] = field(default_factory=list)
     #: (model, kind, rows, seconds, traced) per query, in the order issued.
     queries: List[Tuple[str, str, int, float, bool]] = field(default_factory=list)
+    #: The host probe taken right after each query (see ``common.scaled``).
+    probes: List[float] = field(default_factory=list)
     rounds: int = 0
     models: List[Model] = field(default_factory=list)
     wall_s: float = 0.0
@@ -346,8 +354,9 @@ def run_offline(
     referenced: Dict[Tuple[str, str], int] = {}
 
     def setup() -> List[Model]:
-        models, seconds = timed_setup(lambda: build_models(spec.models))
+        models, seconds, reference = timed_setup(lambda: build_models(spec.models))
         run.setup_s.append(seconds)
+        run.setup_ref_s.append(reference)
         return models
 
     if tracer is not None:
@@ -381,6 +390,7 @@ def run_offline(
             if result is None:
                 continue
             run.queries.append((model.name, kind, query.n_rows, elapsed, trace))
+            run.probes.append(probe_s())
             ok = kind_spec.invariant(query, result)
             seen = referenced.get((model.name, kind), 0)
             if seen < kind_spec.reference_limit:
@@ -447,17 +457,25 @@ def measure(workload: str, seed: int, seconds: float, tracer=None):
     """Run an offline workload; returns (outcomes, end-to-end, per-layer, notes)."""
     traced = (lambda i: i % 2 == 0) if tracer is not None else (lambda i: False)
     run = run_offline(workload, seed, seconds, traced=traced, tracer=tracer)
-    timed = [q for q in run.queries if not q[4]]
+    # The queries with their seconds at the reference host speed.
+    at_reference = [
+        q[:3] + (s, q[4])
+        for q, s in zip(run.queries, scaled([q[3] for q in run.queries], run.probes))
+    ]
+    timed = [q for q in at_reference if not q[4]]
     rate, latencies = round_profile(timed)
     end_to_end = {
-        "setup_s": median(run.setup_s),
+        "setup_s": median(run.setup_ref_s),
         "work_per_s": rate,
         "latency_p50_ms": quantile(latencies, 0.5),
         "latency_p90_ms": quantile(latencies, 0.9),
     }
+    raw_rate, _ = round_profile([q for q in run.queries if not q[4]])
     notes = [
         f"{run.rounds} rounds, {len(run.queries)} queries, "
         f"{sum(q[2] for q in run.queries)} rows in {run.wall_s:.1f} s",
+        f"as measured: {raw_rate:.6g} rows/s, host probe median "
+        f"{median(run.probes) * 1e3:.3f} ms",
         "set-ups (s): " + " ".join(f"{s:.3f}" for s in run.setup_s),
     ]
     layers: Dict[str, float] = {
@@ -470,7 +488,8 @@ def measure(workload: str, seed: int, seconds: float, tracer=None):
     ops = len(traced_queries)
     setups = len(run.setup_s)
     ratios = []
-    traced_pairs, untraced_pairs = _by_pair(traced_queries), _by_pair(timed)
+    traced_pairs = _by_pair([q for q in at_reference if q[4]])
+    untraced_pairs = _by_pair(timed)
     for key, samples in traced_pairs.items():
         if key in untraced_pairs:
             ratios.append(

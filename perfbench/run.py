@@ -18,6 +18,7 @@ sys.dont_write_bytecode = True
 import argparse  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
+import os  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -72,6 +73,9 @@ def main(argv=None) -> int:
     if not (CHECKOUT / "src" / "repro").is_dir():
         print(f"perfbench: no program source at {CHECKOUT / 'src'}", file=sys.stderr)
         return 2
+    # One CPU for every thread, chosen before any thread starts: the host
+    # probe then measures the CPU the server's worker runs on too.
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     sys.path[:0] = [str(CHECKOUT / "src"), str(CHECKOUT)]
     from perfbench import catalog
 

@@ -4,15 +4,19 @@ An :class:`~repro.serving.InferenceServer` with one worker and the default
 batching policy hosts two models loaded from AOT artifacts.  The main
 thread is the load generator: it submits pre-built seeded requests at their
 Poisson due times (open loop, at the fixed offered rates :data:`RATE_LO`
-and :data:`RATE_HI`), then keeps :data:`OUTSTANDING` requests in flight
-(closed loop) to measure capacity.  The three phases cycle four times,
-interleaved, so each sees the same spread of host speed.
+and :data:`RATE_HI`), then sends waves of :data:`WAVE` requests, each
+after the last has been answered (closed loop), to measure capacity.  The
+three phases cycle eight times, interleaved, so each sees the same spread
+of host speed.
 
 Latency runs from a request's due time to its result, so a stalled server
 also charges the requests queued behind the stall; a failed or refused
 request counts as missing every percentile.  Set-up — loading both
 artifacts, constructing the server and starting it — is repeated between
-the phases and reported as the median.
+the phases and reported as the median.  A host probe runs after every
+phase and around every set-up, and the end-to-end times are at the
+reference host speed (``common.scaled``); the per-phase figures in the
+report are as measured.
 
 Every served answer is compared with ``array_equal`` against offline
 ``session.run`` on the same rows, one batched pass per (model, kind) after
@@ -21,12 +25,13 @@ the traffic stops.
 
 from __future__ import annotations
 
+import gc
 import math
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -36,7 +41,9 @@ from repro.serving import InferenceServer
 from repro.spn.generate import generate_rat_spn
 from repro.suite.registry import get_profile
 
-from .common import Outcomes, median, quantile, timed_setup, values_equal
+from .common import (
+    REFERENCE_PROBE_S, Outcomes, median, probe_s, quantile, scaled, timed_setup, values_equal,
+)
 from .offline import evidence
 
 MODELS = ("KDDCup2k", "Audio")
@@ -48,13 +55,19 @@ MODELS = ("KDDCup2k", "Audio")
 #: as latency.
 RATE_LO = 100.0
 RATE_HI = 300.0
-#: Requests kept in flight by the closed-loop phase.
-OUTSTANDING = 16
+#: Requests per wave of the closed-loop phase (about 1000 rows, a quarter
+#: of the default queue depth): the generator sends a wave and waits for all
+#: of it, so the worker drains a backlog of full 64-row batches alone.  With
+#: 16 or 128 requests kept in flight the generator's refills competed with
+#: the worker for the interpreter lock, and 2 s segments at the same probe
+#: reading differed by up to 1.3x in rate.
+WAVE = 512
 #: Share of requests that are multi-row normalized marginals / conditionals.
 MULTI_ROW = 0.1
-#: The phases cycle four times, so each samples the host's speed at four
-#: moments spread over the run; a set-up runs after every second segment.
-PHASES = ("lo", "hi", "closed") * 4
+#: The phases cycle eight times, so each samples the host's speed at eight
+#: moments spread over the run, and a probe follows every second or so of
+#: traffic; a set-up runs after every fourth segment.
+PHASES = ("lo", "hi", "closed") * 8
 
 
 @dataclass
@@ -74,16 +87,24 @@ class Phase:
     failed: int = 0
     latencies_ms: List[float] = field(default_factory=list)
     late_ms: List[float] = field(default_factory=list)
+    #: The host probe taken right after the phase (see ``common.scaled``).
+    probe: float = 0.0
+    #: Closed loop: (requests answered, seconds, probe after) per wave.
+    waves: List[Tuple[int, float, float]] = field(default_factory=list)
 
 
 @dataclass
 class ServeRun:
     outcomes: Outcomes
     setup_s: List[float] = field(default_factory=list)
+    #: The same set-ups at the reference host speed.
+    setup_ref_s: List[float] = field(default_factory=list)
     phases: List[Phase] = field(default_factory=list)
     artifact_bytes: int = 0
     stats: Dict[str, object] = field(default_factory=dict)
     queue_wait_ms: Tuple[float, float] = (0.0, 0.0)
+    #: The server's batching window (``BatchingPolicy.max_wait_s``).
+    window_s: float = 0.0
     #: Closed-loop capacity measured before the tracer was installed.
     untraced_capacity: float = 0.0
 
@@ -145,7 +166,6 @@ class _Tracker:
         self.results: List[object] = [None] * n
         self.remaining = n
         self.all_done = threading.Event()
-        self.slots: Optional[threading.Semaphore] = None
         self._lock = threading.Lock()
         if n == 0:
             self.all_done.set()
@@ -156,8 +176,6 @@ class _Tracker:
             if future.exception() is None:
                 self.ok[index] = True
                 self.results[index] = future.result()
-            if self.slots is not None:
-                self.slots.release()
             with self._lock:
                 self.remaining -= 1
                 if self.remaining == 0:
@@ -194,31 +212,38 @@ def _open_loop(server, phase: Phase, requests: List[Request]) -> _Tracker:
 def _closed_loop(
     server, phase: Phase, pool: List[Request], offset: int = 0
 ) -> Tuple[_Tracker, List[Request], int]:
-    """Keep OUTSTANDING requests in flight; returns completions inside the window."""
+    """Send WAVE requests, wait for all of them, repeat; returns completions inside the window.
+
+    A probe follows every wave (``phase.waves``): a wave lasts about 0.2 s,
+    short enough for the probe to catch the host's speed while it ran.
+    """
     tracker = _Tracker(0)
-    tracker.slots = threading.Semaphore(OUTSTANDING)
     sent: List[Request] = []
     start = time.perf_counter()
     end = start + phase.seconds
     while time.perf_counter() < end:
-        if not tracker.slots.acquire(timeout=max(0.0, end - time.perf_counter())):
-            break
-        request = pool[(offset + len(sent)) % len(pool)]
-        index = len(sent)
-        sent.append(request)
-        tracker.done_at.append(math.nan)
-        tracker.ok.append(False)
-        tracker.results.append(None)
+        first = len(sent)
         with tracker._lock:
-            tracker.remaining += 1
+            tracker.remaining += WAVE
             tracker.all_done.clear()
-        try:
-            future = server.submit(request.model, request.query)
-        except Exception:  # refused at admission: a failed request
-            tracker.callback(index)(_Refused())
-            continue
-        future.add_done_callback(tracker.callback(index))
-    tracker.all_done.wait(timeout=60.0)
+        t0 = time.perf_counter()
+        for _ in range(WAVE):
+            request = pool[(offset + len(sent)) % len(pool)]
+            index = len(sent)
+            sent.append(request)
+            tracker.done_at.append(math.nan)
+            tracker.ok.append(False)
+            tracker.results.append(None)
+            try:
+                future = server.submit(request.model, request.query)
+            except Exception:  # refused at admission: a failed request
+                tracker.callback(index)(_Refused())
+                continue
+            future.add_done_callback(tracker.callback(index))
+        tracker.all_done.wait(timeout=60.0)
+        phase.waves.append(
+            (sum(tracker.ok[first:]), time.perf_counter() - t0, probe_s())
+        )
     phase.sent = len(sent)
     in_window = sum(
         1 for i in range(len(sent)) if tracker.ok[i] and tracker.done_at[i] <= end
@@ -275,8 +300,9 @@ def run_serve(
     pool = make_requests(rng, 4096)
 
     def setup() -> InferenceServer:
-        server, seconds = timed_setup(lambda: start_server(paths))
+        server, seconds, reference = timed_setup(lambda: start_server(paths))
         run.setup_s.append(seconds)
+        run.setup_ref_s.append(reference)
         return server
 
     if tracer is not None:
@@ -291,6 +317,10 @@ def run_serve(
     served = []
     for number, name in enumerate(PHASES):
         phase = Phase(name, segment)
+        # Every phase starts from a collected heap: the answers the
+        # benchmark keeps for its checks would otherwise make later phases
+        # pay longer collections than earlier ones.
+        gc.collect()
         if name == "closed":
             tracker, sent, completed = _closed_loop(server, phase, pool, number * 997)
             phase.rate = completed / segment
@@ -304,11 +334,13 @@ def run_serve(
             sent = requests
         phase.succeeded = sum(tracker.ok)
         phase.failed = phase.sent - phase.succeeded
+        phase.probe = probe_s(9)
         served.extend(zip(sent, tracker.ok, tracker.results))
         run.phases.append(phase)
-        if number % 2 == 1:
+        if number % 4 == 3:
             setup().stop()
     server.stop()
+    run.window_s = server.policy.max_wait_s
     run.stats = server.stats()
     wait = server.metrics.registry.histogram("serving_queue_wait_seconds")
     run.queue_wait_ms = tuple(
@@ -335,14 +367,34 @@ def measure(seed: int, seconds: float, workdir: Path, tracer=None):
     closed = phases["closed"]
     completed = sum(p.rate * p.seconds for p in run.phases if p.name == "closed")
     capacity = completed / closed.seconds
-    hi = phases["hi"]
+    # Each phase's times at the reference host speed.  The batching window
+    # is a timer that does not slow with the host, so the part of a latency
+    # it can account for stays as measured and only the rest is scaled.
+    # A hi phase is scaled by the probes just before and just after it.
+    window_ms = run.window_s * 1e3
+    latencies_ref: List[float] = []
+    for before, phase in zip(run.phases, run.phases[1:]):
+        if phase.name == "hi":
+            factor = REFERENCE_PROBE_S / ((before.probe + phase.probe) / 2)
+            latencies_ref += [
+                min(latency, window_ms) + max(latency - window_ms, 0.0) * factor
+                for latency in phase.latencies_ms
+            ]
+    waves = [wave for phase in run.phases if phase.name == "closed" for wave in phase.waves]
+    wave_s = scaled([seconds for _, seconds, _ in waves], [probe for _, _, probe in waves])
     end_to_end = {
-        "setup_s": median(run.setup_s),
-        "work_per_s": capacity,
-        "latency_p50_ms": quantile(hi.latencies_ms, 0.5),
-        "latency_p90_ms": quantile(hi.latencies_ms, 0.9),
+        "setup_s": median(run.setup_ref_s),
+        "work_per_s": median([answered / s for (answered, _, _), s in zip(waves, wave_s)]),
+        "latency_p50_ms": quantile(latencies_ref, 0.5),
+        "latency_p90_ms": quantile(latencies_ref, 0.9),
     }
-    notes = ["set-ups (s): " + " ".join(f"{s:.3f}" for s in run.setup_s)]
+    notes = [
+        f"as measured: capacity {capacity:.1f} req/s, host probe median "
+        f"{median([p.probe for p in run.phases]) * 1e3:.3f} ms",
+        f"closed loop: {len(waves)} waves, probe after them "
+        f"{min(p for _, _, p in waves) * 1e3:.2f}-{max(p for _, _, p in waves) * 1e3:.2f} ms",
+        "set-ups (s): " + " ".join(f"{s:.3f}" for s in run.setup_s),
+    ]
     layers: Dict[str, float] = {"lifecycle.artifact_bytes": run.artifact_bytes}
     for name in ("lo", "hi"):
         p = phases[name]
@@ -371,7 +423,7 @@ def measure(seed: int, seconds: float, workdir: Path, tracer=None):
         "loadgen.closed.achieved_rps": capacity,
     })
     notes.append(
-        f"closed ({OUTSTANDING} outstanding): {capacity:.1f} req/s, sent {closed.sent} "
+        f"closed (waves of {WAVE}): {capacity:.1f} req/s, sent {closed.sent} "
         f"ok {closed.succeeded} failed {closed.failed}"
     )
     if tracer is None:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from perfbench import catalog
-from perfbench.common import RUN_ROOT, Outcomes, values_equal
+from perfbench.common import REFERENCE_PROBE_S, RUN_ROOT, Outcomes, scaled, values_equal
 from perfbench.offline import build_models, check_prefix
 
 from repro.api import InferenceSession, Likelihood, LogLikelihood
@@ -67,6 +67,15 @@ def test_perturbed_offline_value_counts_as_failure(banknote, kind):
     outcomes.record(check_prefix(reference, query, result))
     outcomes.record(check_prefix(reference, query, perturbed))
     assert (outcomes.attempted, outcomes.failed) == (2, 1)
+
+
+def test_times_scale_to_the_reference_host_speed():
+    # A host at half the reference speed doubles the probe, so its times
+    # halve; the median of the nearest probes ignores one probe's outlier.
+    slow = 2 * REFERENCE_PROBE_S
+    probes = [slow] * 6 + [5 * slow] + [slow] * 3
+    assert scaled([1.0] * 10, probes) == [0.5] * 10
+    assert scaled([3.0], [REFERENCE_PROBE_S]) == [3.0]
 
 
 def test_served_values_must_be_bit_identical():
