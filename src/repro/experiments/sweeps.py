@@ -1132,10 +1132,13 @@ def measure_observability_overhead(
 
     * **disabled** (``configure(metrics=False, tracing=False)``) — the
       instrumented :meth:`~repro.spn.compiled.CompiledTape.execute_batch`
-      against the raw planned kernel loop
+      against the raw planned kernel loops
       (:func:`~repro.spn.memplan.execute_plan` on the same
-      :class:`~repro.spn.memplan.MemoryPlan`).  The instrumentation adds
-      one contextvar read per batch; the gate requires the ratio <= 1.02.
+      :class:`~repro.spn.memplan.MemoryPlan`, linear and exact-log)
+      combined by the same per-row rule
+      (:func:`~repro.spn.compiled.log_via_linear`), so the ratio measures
+      instrumentation only.  The instrumentation adds one contextvar read
+      per batch; the gate requires the ratio <= 1.02.
     * **enabled** (metrics + tracing on) — :meth:`InferenceSession.run`
       with span recording against the same call with observability off.
       Spans amortize per *pass*, never per kernel; gate <= 1.10.
@@ -1154,6 +1157,7 @@ def measure_observability_overhead(
     from ..api.queries import LogLikelihood
     from ..api.session import InferenceSession
     from ..observability import TapeProfiler, observability_scope
+    from ..spn.compiled import log_via_linear
     from ..spn.generate import random_evidence
     from ..spn.memplan import execute_plan
     from ..suite.registry import benchmark_n_vars, benchmark_tape
@@ -1171,7 +1175,12 @@ def measure_observability_overhead(
 
     def run_raw():
         with observability_scope(metrics=False, tracing=False):
-            return execute_plan(plan, evidence, log_domain=True)
+            return log_via_linear(
+                evidence,
+                tape.linear_floor(),
+                lambda rows: execute_plan(plan, rows),
+                lambda rows: execute_plan(plan, rows, log_domain=True),
+            )
 
     def run_disabled():
         with observability_scope(metrics=False, tracing=False):

@@ -23,7 +23,7 @@ Compilation (:func:`compile_tape`) lowers an
    gather index vectors and its destination slice.
 
 Execution (:meth:`CompiledTape.execute_batch`) runs one
-``np.add``/``np.multiply`` (or ``np.logaddexp``/``np.add`` in the log
+``np.add``/``np.multiply`` (or ``np.logaddexp``/``np.add`` in the exact log
 domain) per kernel, reading operands through copy-free slice views when a
 kernel's operand range is contiguous (the common case after the reorder
 step) and fancy-indexed gathers otherwise.  The whole batch is evaluated
@@ -36,9 +36,14 @@ adds row-shard thread parallelism for very large batches, and **legacy**
 keeps the original dense ``(n_slots, n_rows)`` slot matrix — all three
 bit-identical.
 
-A log-domain variant (``log_domain=True``) evaluates the same tape with
-``+`` for products and ``logaddexp`` for sums, which is numerically safe for
-deep networks whose linear-domain values underflow.
+A log-domain pass (``log_domain=True``) runs the linear kernels and takes
+one ``np.log`` per row, keeping that answer for rows whose linear root lies
+at or above the tape's proved :meth:`CompiledTape.linear_floor`.  Every
+other row — below the floor, zero or non-finite — is recomputed on a
+gathered sub-batch by the exact log kernels (``+`` for products,
+``logaddexp`` for sums), which stay numerically safe for deep networks
+whose linear-domain values underflow.  The rule (:func:`log_via_linear`)
+looks at one row at a time, so a row's answer never depends on its batch.
 
 Evidence batches follow the canonical convention documented at
 :data:`repro.spn.evaluate.MARGINALIZED`: integer arrays of shape
@@ -97,6 +102,7 @@ __all__ = [
     "tape_to_payload",
     "tape_from_payload",
     "cross_check",
+    "log_via_linear",
     "resolve_engine",
     "resolve_execution",
 ]
@@ -138,6 +144,30 @@ def cross_check(
             f"{what} disagrees with the python reference: "
             f"{result[: len(head)]} vs {reference}"
         )
+
+
+def log_via_linear(
+    data: np.ndarray,
+    floor: float,
+    linear: Callable[[np.ndarray], np.ndarray],
+    exact_log: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Answer a log-domain pass from a linear pass, row by row.
+
+    ``linear(rows)`` and ``exact_log(rows)`` return root values for an
+    evidence block.  Row ``i`` is answered ``log(linear(data)[i])`` when
+    that linear root lies in ``[floor, inf)``; every other row (below the
+    floor, zero, ``inf`` or ``nan``) is recomputed by ``exact_log`` on the
+    gathered sub-batch.  The decision looks at the row's own value only,
+    so a row's answer is the same alone or inside any batch.
+    """
+    out = linear(data)
+    redo = ~((out >= floor) & (out < np.inf))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(out, out=out)
+    if redo.any():
+        out[redo] = exact_log(data[redo])
+    return out
 
 
 def resolve_engine(engine: str) -> str:
@@ -270,6 +300,8 @@ class CompiledTape:
         # single set of per-thread scratch buffers.
         self._plan_cache: Dict[Tuple[bool, int], MemoryPlan] = {}
         self._plan_lock = threading.Lock()
+        # Proved on the first log pass; see linear_floor().
+        self._linear_floor: Optional[float] = None
         # Cached shape and canonical-value tables.  Kernel *structure* is
         # fixed at construction (structural edits build a fresh tape), so the
         # width sum is a constant; the tables depend only on ``inputs`` and
@@ -468,6 +500,21 @@ class CompiledTape:
         with self._plan_lock:
             self._plan_cache[(bool(fuse), width)] = plan
 
+    def linear_floor(self) -> float:
+        """The smallest linear root a log pass answers as ``log(root)`` (cached).
+
+        Proved by :func:`repro.statics.absint.linear_floor` on the tape's
+        first log pass — not at construction or artifact load — and kept
+        for the tape's lifetime (kernels and inputs never change after
+        construction).  Concurrent first calls compute the same value.
+        """
+        floor = self._linear_floor
+        if floor is None:
+            from ..statics.absint import linear_floor
+
+            floor = self._linear_floor = linear_floor(self)
+        return floor
+
     def execute_batch(
         self,
         data: np.ndarray,
@@ -490,15 +537,38 @@ class CompiledTape:
         cache-resident (big-batch execution otherwise degrades
         superlinearly once the matrix spills to RAM) — the planned modes
         fit several times more rows per block.
+
+        A log pass runs the linear kernels and answers each row with the
+        ``log`` of its root when that root is at or above
+        :meth:`linear_floor`; the remaining rows rerun through the exact
+        log kernels (:func:`log_via_linear`).  The rule sits above the
+        mode dispatch, so every mode applies it identically.
         """
         data = np.asarray(data)
         if data.ndim != 2:
             raise ValueError(f"expected a 2-D evidence array, got shape {data.shape}")
         options = resolve_execution(execution)
-        n_rows = data.shape[0]
         # Resolved once per batch: ``None`` (no profiler active) keeps every
         # executor below on its uninstrumented kernel loop.
         profiler = active_profiler()
+        if not log_domain:
+            return self._execute_root(data, False, options, profiler)
+        return log_via_linear(
+            data,
+            self.linear_floor(),
+            lambda rows: self._execute_root(rows, False, options, profiler),
+            lambda rows: self._execute_root(rows, True, options, profiler),
+        )
+
+    def _execute_root(
+        self,
+        data: np.ndarray,
+        log_domain: bool,
+        options: ExecutionOptions,
+        profiler,
+    ) -> np.ndarray:
+        """Root values of one batch in one domain, through ``options.mode``."""
+        n_rows = data.shape[0]
         if options.mode == "legacy" or not self.kernels:
             # A kernel-less tape (the SPN is a single leaf) has no program
             # to plan; the dense path answers it directly.

@@ -288,9 +288,11 @@ def evaluate_log_batch(
 
     The ``"python"`` engine is the reference: it evaluates every row with
     :func:`evaluate_log` (slow, one graph walk per row).  The
-    ``"vectorized"`` engine runs the compiled tape in the log domain
-    (products add, sums combine with ``logaddexp``).  Rows with zero
-    probability return ``-inf``.  ``data`` follows the
+    ``"vectorized"`` engine runs a log pass of the compiled tape: ``log``
+    of the linear root for rows at or above the tape's proved floor, the
+    exact log kernels (products add, sums combine with ``logaddexp``) for
+    the rest (see :meth:`~repro.spn.compiled.CompiledTape.execute_batch`).
+    Rows with zero probability return ``-inf``.  ``data`` follows the
     :data:`MARGINALIZED` convention; ``check`` and ``execution`` behave as
     in :func:`evaluate_batch`.
     """

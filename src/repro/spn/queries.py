@@ -34,7 +34,6 @@ import math
 import warnings
 from typing import Dict, Mapping, Optional
 
-from .evaluate import evaluate_log
 from .graph import SPN
 from .nodes import IndicatorLeaf, ParameterLeaf, ProductNode, SumNode
 
@@ -298,12 +297,14 @@ def _refine_assignment(
 ) -> Dict[int, int]:
     """Steepest-ascent coordinate refinement of an MPE candidate.
 
-    Each round lays out every single-variable flip of the current assignment
-    (over the free variables' indicator domains) as one evidence batch,
-    scores them all with a single vectorized log-domain evaluation, and
-    applies the best strictly-improving flip; the loop stops when no flip
-    improves, i.e. the assignment is a local maximum under single-variable
-    flips.
+    Each round lays out the current assignment (row 0) and every
+    single-variable flip of it (over the free variables' indicator domains)
+    as one evidence batch, scores them all with a single vectorized
+    log-domain evaluation, and applies the best strictly-improving flip;
+    the loop stops when no flip improves, i.e. the assignment is a local
+    maximum under single-variable flips.  Scoring the incumbent in the same
+    batch compares every candidate through one engine, so a tie never
+    passes for an improvement.
     """
     import numpy as np
 
@@ -314,7 +315,6 @@ def _refine_assignment(
         return assignment
 
     best = dict(assignment)
-    best_log = evaluate_log(spn, best)
     n_cols = max(max(best, default=-1), max(domains, default=-1)) + 1
     while True:
         flips = [
@@ -325,15 +325,14 @@ def _refine_assignment(
         ]
         if not flips:
             return best
-        data = np.full((len(flips), max(n_cols, 1)), MARGINALIZED, dtype=np.int64)
+        data = np.full((1 + len(flips), max(n_cols, 1)), MARGINALIZED, dtype=np.int64)
         for var, value in best.items():
             data[:, var] = value
-        for row, (var, value) in enumerate(flips):
+        for row, (var, value) in enumerate(flips, start=1):
             data[row, var] = value
         scores = evaluate_log_batch(spn, data, engine="vectorized")
-        top = int(np.argmax(scores))
-        if not scores[top] > best_log:
+        top = 1 + int(np.argmax(scores[1:]))
+        if not scores[top] > scores[0]:
             return best
-        var, value = flips[top]
+        var, value = flips[top - 1]
         best[var] = value
-        best_log = float(scores[top])

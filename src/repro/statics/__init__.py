@@ -12,8 +12,9 @@ which runs a single tape kernel on data:
   registry publication and ``ExecutionOptions(check=True)``.
 * :mod:`repro.statics.absint` — abstract interpretation over interval and
   sign domains: proves log-domain outputs ``<= 0`` for normalized tapes,
-  tracks ``-inf`` reachability, and flags linear-domain underflow risk on
-  deep product chains at compile time.
+  tracks ``-inf`` reachability, flags linear-domain underflow risk on
+  deep product chains at compile time, and proves the linear floor above
+  which a log pass may take ``log`` of the linear kernels' root.
 * :mod:`repro.statics.lint` — AST lint for the repository's own
   concurrency and API discipline (lock-guarded writes, blocking calls
   under locks, bare ``except``, unseeded randomness in hot paths).

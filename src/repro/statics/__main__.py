@@ -11,6 +11,7 @@ Both exit nonzero on any failure/finding, which is how CI consumes them.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -18,6 +19,13 @@ from pathlib import Path
 from .absint import analyze_tape
 from .lint import lint_paths
 from .verifier import VerificationError, verify_compiled
+
+
+def _power_of_two(value: float) -> str:
+    """``value`` as ``2^<exponent>`` (``0`` and ``inf`` printed as such)."""
+    if value == 0.0 or not math.isfinite(value):
+        return str(value)
+    return f"2^{math.log2(value):.2f}"
 
 
 def _verify_one(label: str, tape, plans) -> bool:
@@ -35,7 +43,8 @@ def _verify_one(label: str, tape, plans) -> bool:
     facts = (
         f"kernels={tape_facts.n_kernels} slots={tape.n_slots} "
         f"plans={len(plans)} proves_log<=0={analysis.proves_log_nonpositive} "
-        f"underflow_risk={analysis.underflow_risk}"
+        f"underflow_risk={analysis.underflow_risk} "
+        f"linear_floor={_power_of_two(analysis.linear_floor)}"
     )
     print(f"ok   {label}: {facts} ({elapsed:.0f} ms)")
     return True

@@ -26,6 +26,17 @@ per slot — and derives facts that hold for **every** evidence batch:
   conditional query hit in this repository's history (joint/evidence
   division by an underflowed denominator), now flagged at compile time and
   answered by routing through the log domain.
+* **Linear floor** — the smallest linear root value whose ``log`` is as
+  accurate as a log-domain pass (:func:`linear_floor`).  Tape values are
+  non-negative, so sums and normal-range products lose only relative
+  precision (``<= 2**-53`` per operation).  A product landing in the
+  subnormal range loses up to ``2**-1075`` *absolute*; that error reaches
+  the root scaled by at most the slot's reverse-mode derivative taken at
+  the interval upper bounds.  The sum ``K`` of those derivatives over all
+  product lanes bounds the root's subnormal error by ``K * 2**-1075``, so
+  every root ``>= 2 * K * 2**-1022`` carries less than ``2**-54`` relative
+  error from underflow.  :meth:`~repro.spn.compiled.CompiledTape.execute_batch`
+  answers log passes with the linear kernels for rows at or above it.
 
 The pass is vectorized per tape kernel (a few hundred NumPy calls per tape)
 and costs far less than compilation; it runs on every ``python -m
@@ -38,12 +49,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TapeAnalysis", "analyze_tape", "LOG_TINY"]
+__all__ = [
+    "TapeAnalysis",
+    "analyze_tape",
+    "linear_floor",
+    "product_error_gain",
+    "LOG_TINY",
+]
 
-#: ``log`` of the smallest positive *normal* float64 — positive values whose
-#: static log lower bound falls below this may underflow to ``0.0`` in a
-#: linear-domain pass.
-LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
+#: The smallest positive *normal* float64, ``2**-1022``.
+TINY = float(np.finfo(np.float64).tiny)
+
+#: ``log`` of :data:`TINY` — positive values whose static log lower bound
+#: falls below this may underflow to ``0.0`` in a linear-domain pass.
+LOG_TINY = float(np.log(TINY))
 
 #: Slack for the normalization proof: a weighted sum whose float weights sum
 #: to 1.0 can accumulate a few ULPs above 1 across a deep reduction.
@@ -79,16 +98,15 @@ class TapeAnalysis:
     overflow_possible: bool
     #: Depth of the deepest dependency chain (ASAP level of the last kernel).
     depth: int
+    #: Linear roots at or above this are answered in the log domain as
+    #: ``log(root)`` (see :func:`linear_floor`); ``inf`` sends every row
+    #: to the exact log kernels.
+    linear_floor: float
 
 
-def analyze_tape(tape, tolerance: float = NORMALIZATION_TOLERANCE) -> TapeAnalysis:
-    """Abstractly interpret ``tape`` and return the established facts.
-
-    Assumes the tape passed :func:`~repro.statics.verifier.verify_tape`
-    (in particular: non-negative finite input parameters, def-before-use).
-    """
+def _intervals(tape):
+    """Forward pass: per-slot ``(lo, hi, log_min_pos, can_zero)`` arrays."""
     n_slots = tape.n_slots
-    n_inputs = tape.n_inputs
     lo = np.zeros(n_slots, dtype=np.float64)
     hi = np.zeros(n_slots, dtype=np.float64)
     # Lower bound on log(v) for strictly positive v; +inf = never positive.
@@ -129,7 +147,65 @@ def analyze_tape(tape, tolerance: float = NORMALIZATION_TOLERANCE) -> TapeAnalys
                 # A positive product has both factors positive.
                 log_min_pos[dest] = log_min_pos[a0] + log_min_pos[a1]
                 can_zero[dest] = can_zero[a0] | can_zero[a1]
+    return lo, hi, log_min_pos, can_zero
 
+
+def product_error_gain(tape, hi=None) -> float:
+    """``K``: how much the root can amplify absolute errors at product lanes.
+
+    The sum over product lanes ``p`` of ``S[p]``, the reverse-mode
+    derivative of the root with respect to ``p`` with every operand
+    replaced by its interval upper bound ``hi`` (a product ``a * b`` passes
+    ``S * hi[b]`` to ``a``; a sum passes ``S`` to both operands).  Every
+    derivative of the root is a polynomial with non-negative coefficients,
+    so ``S`` bounds it anywhere in the interval box.  ``inf`` when a
+    constant is negative or non-finite, or when any ``hi`` is not finite —
+    the bound then says nothing.  ``hi`` defaults to this module's forward
+    interval pass.
+    """
+    if hi is None:
+        hi = _intervals(tape)[1]
+    if not (np.all(np.isfinite(hi)) and np.all(hi >= 0.0)):
+        return np.inf
+    gain = np.zeros(tape.n_slots, dtype=np.float64)
+    gain[tape.root_slot] = 1.0
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Every consumer of a kernel's lanes is a later kernel, so a
+        # lane's gain is complete when the reverse sweep reaches it.
+        for kernel in reversed(tape.kernels):
+            lane = gain[kernel.dest_start : kernel.dest_stop]
+            a0, a1 = kernel.arg0, kernel.arg1
+            if kernel.is_add:
+                np.add.at(gain, a0, lane)
+                np.add.at(gain, a1, lane)
+            else:
+                total += float(lane.sum())
+                np.add.at(gain, a0, lane * hi[a1])
+                np.add.at(gain, a1, lane * hi[a0])
+    return total if np.isfinite(total) else np.inf
+
+
+def linear_floor(tape, hi=None) -> float:
+    """Smallest linear root whose ``log`` is as exact as a log-domain pass.
+
+    ``2 * K * 2**-1022`` with ``K`` = :func:`product_error_gain`: a root at
+    or above it carries at most ``K * 2**-1075`` absolute error from
+    subnormal products, i.e. below ``2**-54`` of its value — the same order
+    as the relative rounding of the log pass itself.
+    """
+    return 2.0 * product_error_gain(tape, hi) * TINY
+
+
+def analyze_tape(tape, tolerance: float = NORMALIZATION_TOLERANCE) -> TapeAnalysis:
+    """Abstractly interpret ``tape`` and return the established facts.
+
+    Assumes the tape passed :func:`~repro.statics.verifier.verify_tape`
+    (in particular: non-negative finite input parameters, def-before-use).
+    """
+    lo, hi, log_min_pos, can_zero = _intervals(tape)
+    n_slots = tape.n_slots
+    n_inputs = tape.n_inputs
     root = tape.root_slot
     root_upper = float(hi[root])
     with np.errstate(divide="ignore"):
@@ -146,4 +222,5 @@ def analyze_tape(tape, tolerance: float = NORMALIZATION_TOLERANCE) -> TapeAnalys
         underflow_risk=bool(min_positive_log < LOG_TINY),
         overflow_possible=bool(not np.all(np.isfinite(op_hi))),
         depth=tape.kernels[-1].level if tape.kernels else 0,
+        linear_floor=linear_floor(tape, hi),
     )

@@ -1,5 +1,6 @@
 """Tests for the vectorized tape engine (:mod:`repro.spn.compiled`)."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from repro.spn.compiled import (
     ENGINES,
     CompiledTape,
     EngineMismatchError,
+    TapeKernel,
     cached_tape,
     compile_tape,
     resolve_engine,
@@ -23,7 +25,8 @@ from repro.spn.evaluate import (
 )
 from repro.spn.generate import generate_rat_spn, random_evidence
 from repro.spn.graph import SPN
-from repro.spn.linearize import linearize
+from repro.spn.linearize import OP_MUL, InputSlot, linearize
+from repro.spn.memplan import ExecutionOptions
 from strategies import wide_rat_configs as rat_configs
 
 _SETTINGS = settings(max_examples=25, deadline=None)
@@ -228,3 +231,171 @@ class TestCachedTape:
         assert second is not first
         data = np.full((1, 1), MARGINALIZED, dtype=np.int64)
         assert second.execute_batch(data)[0] == pytest.approx(1.0)
+
+
+# --------------------------------------------------------------------------- #
+# Log passes answered by the linear kernels above the proved floor
+# --------------------------------------------------------------------------- #
+def two_branch_spn() -> SPN:
+    """``x0 = 1``: a 400-factor chain of ``1e-2`` (P ~ 1e-800); ``x0 = 0``: shallow.
+
+    Both branches share three Bernoulli leaves (variables 1-3).
+    """
+    spn = SPN()
+    leaves = [SPN.bernoulli_leaf(spn, var, p) for var, p in ((1, 0.3), (2, 0.6), (3, 0.85))]
+    deep = spn.add_product(
+        [spn.add_indicator(0, 1), *leaves] + [spn.add_parameter(1e-2) for _ in range(400)]
+    )
+    shallow = spn.add_product([spn.add_indicator(0, 0), *leaves])
+    spn.set_root(spn.add_sum([deep, shallow], [0.5, 0.5]))
+    return spn
+
+
+#: Every assignment of x0..x3 over {marginalized, 0, 1}.
+MIXED_ROWS = np.array(list(itertools.product((-1, 0, 1), repeat=4)), dtype=np.int64)
+
+
+def constant_tape(prob: float, other: float = 0.5) -> CompiledTape:
+    """``root = x0 * prob * other`` — one indicator, two constants."""
+    inputs = [
+        InputSlot(index=0, kind="indicator", var=0, value=1),
+        InputSlot(index=1, kind="weight", prob=prob),
+        InputSlot(index=2, kind="weight", prob=other),
+    ]
+    kernels = [
+        TapeKernel(level=1, op=OP_MUL, dest_start=3, dest_stop=4,
+                   arg0=np.array([1], dtype=np.intp), arg1=np.array([2], dtype=np.intp)),
+        TapeKernel(level=2, op=OP_MUL, dest_start=4, dest_stop=5,
+                   arg0=np.array([0], dtype=np.intp), arg1=np.array([3], dtype=np.intp)),
+    ]
+    with np.errstate(invalid="ignore"):  # log of a negative constant
+        return CompiledTape(inputs=inputs, kernels=kernels, root_slot=4)
+
+
+class TestLogPassViaLinear:
+    """A log pass answers each row with ``log`` of its linear root when that
+    root is at or above the tape's proved floor, and with the exact log
+    kernels otherwise — row by row, identically in every mode."""
+
+    FORCED_SHARDS = ExecutionOptions(mode="sharded", threads=2, min_shard_rows=1)
+
+    def split(self, tape, data):
+        linear = tape.execute_batch(data)
+        above = (linear >= tape.linear_floor()) & np.isfinite(linear)
+        return linear, above
+
+    def test_rows_split_on_the_floor(self):
+        spn = two_branch_spn()
+        tape = compile_tape(spn)
+        linear, above = self.split(tape, MIXED_ROWS)
+        assert above.any() and (~above).any()
+        assert np.all(MIXED_ROWS[~above, 0] == 1)  # the deep branch alone
+        result = tape.execute_batch(MIXED_ROWS, log_domain=True)
+        exact = tape.execute_slots(MIXED_ROWS, log_domain=True)[tape.root_slot]
+        # The two rules round differently on some rows, so each check
+        # below tells them apart.
+        assert not np.array_equal(result[above], exact[above])
+        assert np.array_equal(result[~above], exact[~above])
+        assert np.array_equal(result[above], np.log(linear[above]))
+        # Below the floor the answers are the deep branch's, not log(0).
+        reference = evaluate_log_batch(spn, MIXED_ROWS, engine="python")
+        np.testing.assert_allclose(result, reference, rtol=1e-9, atol=1e-12)
+        assert np.all(result[~above] < -1800)
+
+    def test_row_answer_independent_of_batch_and_mode(self):
+        tape = compile_tape(two_branch_spn())
+        reference = tape.execute_batch(MIXED_ROWS, log_domain=True)
+        for execution in (None, self.FORCED_SHARDS, "legacy"):
+            batch = tape.execute_batch(MIXED_ROWS, log_domain=True, execution=execution)
+            assert np.array_equal(batch, reference)
+            for row in range(len(MIXED_ROWS)):
+                alone = tape.execute_batch(
+                    MIXED_ROWS[row : row + 1], log_domain=True, execution=execution
+                )
+                assert np.array_equal(alone, reference[row : row + 1])
+
+    def test_served_micro_batches_match_offline(self):
+        from repro.api import InferenceSession, LogLikelihood
+        from repro.serving import BatchingPolicy, InferenceServer
+
+        spn = two_branch_spn()
+        offline = InferenceSession(spn).run(LogLikelihood(evidence=MIXED_ROWS))
+        tape = compile_tape(spn)
+        assert np.array_equal(offline, tape.execute_batch(MIXED_ROWS, log_domain=True))
+        policy = BatchingPolicy(max_batch_size=3, max_wait_s=0.001)
+        with InferenceServer(models={"two_branch": spn}, policy=policy) as server:
+            batched = server.query("two_branch", MIXED_ROWS, kind="log_likelihood")
+            single = [
+                server.submit("two_branch", MIXED_ROWS[row : row + 1], kind="log_likelihood")
+                for row in range(len(MIXED_ROWS))
+            ]
+            single = np.concatenate([f.result(timeout=30) for f in single])
+        assert np.array_equal(batched, offline)
+        assert np.array_equal(single, offline)
+
+    @pytest.mark.parametrize(
+        "prob, other",
+        [(-0.5, 0.5), (math.nan, 0.5), (math.inf, 0.5), (1e200, 1e200)],
+        ids=["negative", "nan", "inf", "overflow"],
+    )
+    def test_floor_is_inf_without_a_sound_bound(self, prob, other):
+        tape = constant_tape(prob, other)
+        assert tape.linear_floor() == math.inf
+        data = np.array([[0], [1], [-1]])
+        with np.errstate(all="ignore"):
+            exact = tape.execute_slots(data, log_domain=True)[tape.root_slot]
+            result = tape.execute_batch(data, log_domain=True)
+        assert np.array_equal(result, exact, equal_nan=True)
+
+    def test_floor_is_cached_and_finite_for_valid_tapes(self):
+        tape = constant_tape(0.25)
+        assert tape._linear_floor is None  # not proved at construction
+        floor = tape.linear_floor()
+        assert 0.0 < floor < 1e-300
+        assert tape.linear_floor() is floor
+
+    def test_two_level_gain_matches_closed_form(self):
+        """root = sum_i w_i * prod_j x_ij over n children of m indicators.
+
+        Each weight product carries gain 1 and each of a child's m - 1
+        indicator products gain w_i (every other factor's bound is 1), so
+        K = n + (m - 1) * sum(w).
+        """
+        from repro.statics.absint import TINY, product_error_gain
+
+        weights = [0.125, 0.25, 0.625]
+        n_vars = 5
+        spn = SPN()
+        children = [
+            spn.add_product([spn.add_indicator(var, (i + var) % 2) for var in range(n_vars)])
+            for i in range(len(weights))
+        ]
+        spn.set_root(spn.add_sum(children, weights))
+        tape = compile_tape(spn)
+        gain = product_error_gain(tape)
+        assert gain == pytest.approx(len(weights) + (n_vars - 1) * sum(weights))
+        assert tape.linear_floor() == 2.0 * gain * TINY
+
+    @_SETTINGS
+    @given(
+        config=rat_configs,
+        seed=st.integers(0, 1000),
+        shift=st.one_of(st.just(0.0), st.floats(680.0, 740.0)),
+        n_factors=st.integers(1, 400),
+    )
+    def test_linear_rows_match_reference(self, config, seed, shift, n_factors):
+        """RAT-SPNs, optionally under a deep chain of tiny weights that moves
+        their log-likelihoods across the floor (``2 * K * 2**-1022``, about
+        ``exp(-705)`` here) and into the subnormal range."""
+        spn = generate_rat_spn(config)
+        if shift:
+            weight = math.exp(-shift / n_factors)
+            chain = [spn.add_parameter(weight) for _ in range(n_factors)]
+            spn.set_root(spn.add_product([spn.root] + chain))
+        data = random_evidence(config.n_vars, observed_fraction=0.7, seed=seed, n_samples=16)
+        tape = compile_tape(spn)
+        linear, above = self.split(tape, data)
+        result = tape.execute_batch(data, log_domain=True)
+        assert np.array_equal(result[above], np.log(linear[above]))
+        reference = evaluate_log_batch(spn, data, engine="python")
+        np.testing.assert_allclose(result, reference, rtol=1e-9, atol=1e-12)

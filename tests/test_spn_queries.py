@@ -172,6 +172,26 @@ class TestMpe:
         spn.set_root(spn.add_sum([worse, better], [0.5, 0.5]))
         assert most_probable_explanation(spn) == {0: 1}
 
+    def test_refinement_keeps_traced_value_of_ignored_variable(self):
+        # Thirteen binary variables exceed the exact-enumeration budget, so
+        # the max-product trace is refined.  Variable 12 is a fair coin the
+        # distribution ignores: flipping it ties the incumbent exactly, and
+        # a tie is not an improvement.  Scoring the incumbent with a
+        # different engine (the python walk) than the flips once read some
+        # of these ties as gains and flipped the traced 0 to 1.
+        from repro.spn.graph import SPN
+        from repro.spn.queries import mpe_row
+
+        for seed in range(20):
+            probs = np.random.default_rng(seed).uniform(0.05, 0.95, 12)
+            spn = SPN()
+            leaves = [SPN.bernoulli_leaf(spn, var, p) for var, p in enumerate(probs)]
+            leaves.append(SPN.bernoulli_leaf(spn, 12, 0.5))
+            spn.set_root(spn.add_product(leaves))
+            traced = mpe_row(spn, refine=False)
+            assert traced[12] == 0  # max-product keeps the first tied child
+            assert mpe_row(spn) == traced
+
     def test_learned_model_mpe_matches_cluster_structure(self):
         data = generate_dataset(DatasetSpec(n_vars=6, n_rows=500, n_clusters=1, noise=0.05, seed=8))
         spn = learn_spn(data)

@@ -223,6 +223,16 @@ class TestAbstractInterpretation:
         assert not analysis.underflow_risk
         assert analysis.min_positive_log > LOG_TINY
 
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_linear_floor_reported_for_suite_tapes(self, name):
+        """The floor the tape's log passes use, proved once per tape: the
+        suite's gains K run from 47 (Banknote) to 1119 (BBC, Bio
+        response), so every floor sits within a few binades of 2**-1022."""
+        tape = benchmark_tape(name)
+        analysis = analyze_tape(tape)
+        assert analysis.linear_floor == tape.linear_floor()
+        assert 2.0**-1016 < analysis.linear_floor <= 2.0**-1010
+
     def test_negative_weight_rejected_before_analysis(self):
         """analyze_tape assumes verify_tape's non-negativity — and
         verify_tape does reject the violation."""
@@ -472,6 +482,13 @@ class TestCli:
         path = save_artifact(artifact, tmp_path / "m.json")
         assert main(["verify", "--artifact", str(path)]) == 0
         assert "statically verified" in capsys.readouterr().out
+
+    def test_verify_command_prints_linear_floor(self, capsys):
+        from repro.statics.__main__ import _verify_one
+
+        tape = benchmark_tape("Banknote")
+        assert _verify_one("Banknote", tape, [tape.memory_plan()])
+        assert "linear_floor=2^-1015.45" in capsys.readouterr().out
 
     def test_verify_command_rejects_corrupt_artifact(self, tmp_path, capsys):
         from repro.lifecycle.artifact import content_hash
