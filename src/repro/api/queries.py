@@ -448,8 +448,8 @@ class Sample(Query):
     Determinism is a contract, not an accident: the random draw for a row
     depends only on ``(seed, row id, variable)`` — ``row_ids`` defaults to
     the row's position in the batch — so the same seed returns bit-identical
-    samples whether a row runs alone, inside a larger batch, through any
-    execution mode, or scattered across serving micro-batches.  Rows whose
+    samples whether a row runs alone, inside a larger batch, or scattered
+    across serving micro-batches.  Rows whose
     evidence has probability zero raise ``ValueError`` (there is no
     conditional to sample from).
     """

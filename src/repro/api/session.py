@@ -39,7 +39,6 @@ import numpy as np
 from ..observability import TRACER
 from ..spn.compiled import resolve_engine
 from ..spn.evaluate import evaluate_batch, evaluate_log_batch, row_evidence
-from ..spn.memplan import ExecutionOptions, resolve_execution
 from ..spn.graph import SPN
 from ..spn.linearize import OperationList, linearize
 from ..spn.nodes import IndicatorLeaf
@@ -81,7 +80,7 @@ class QueryPlan:
     plan performs — the quantity the evaluation-count hook observes.
 
     ``tape_slots``/``peak_slots`` are the memory-plan statistics of the
-    session's executor (:class:`~repro.spn.memplan.MemoryPlan`): the dense
+    tape's executor (:class:`~repro.spn.memplan.MemoryPlan`): the dense
     slot count of the compiled tape and the physical working-set rows each
     pass actually keeps resident (zero for the python reference engine,
     which has no tape).  ``peak_bytes_per_row`` is the executor's peak
@@ -129,18 +128,13 @@ class InferenceSession:
         :func:`repro.spn.evaluate.evaluate_batch` (``"vectorized"``
         default; ``"python"`` for the reference walk).
     check:
-        Cross-check every vectorized pass against the reference engine on a
-        batch prefix (:class:`~repro.spn.compiled.EngineMismatchError` on
-        disagreement).
+        Statically verify the tape and its memory plan, then cross-check
+        every vectorized pass against the reference engine on a batch
+        prefix (:class:`~repro.spn.compiled.EngineMismatchError` on
+        disagreement); see :func:`repro.spn.evaluate.evaluate_batch`.
     warm:
         Compile and pin the model's tape at construction instead of on the
         first query (keeps compilation latency out of the serving path).
-    execution:
-        Executor for the vectorized tape passes — an
-        :class:`~repro.spn.memplan.ExecutionOptions` or a bare mode string
-        (``"planned"`` default, ``"sharded"``, ``"legacy"``).  All modes
-        are bit-identical; the knob chooses memory layout and shard
-        parallelism, and :meth:`plan` reports the resulting working set.
     tape:
         A precompiled :class:`~repro.spn.compiled.CompiledTape` for
         ``model`` (AOT artifacts, :mod:`repro.lifecycle`).  The session
@@ -158,7 +152,6 @@ class InferenceSession:
         engine: str = "vectorized",
         check: bool = False,
         warm: bool = False,
-        execution: Union[ExecutionOptions, str, None] = None,
         tape=None,
         n_vars: Optional[int] = None,
     ) -> None:
@@ -182,7 +175,6 @@ class InferenceSession:
             self.n_vars = int(n_vars)
         self.engine = resolve_engine(engine)
         self.check = check
-        self.execution = resolve_execution(execution)
         # Guards the evaluation counter and the lazy caches: sessions are
         # shared by serving worker pools (n_workers > 1).
         self._lock = threading.Lock()
@@ -255,8 +247,8 @@ class InferenceSession:
 
         Every plan also carries the executor's memory statistics
         (``tape_slots``, ``peak_slots``): the compiled tape's dense slot
-        count and the physical rows the session's execution mode actually
-        keeps resident per pass.
+        count and the physical rows its memory plan actually keeps
+        resident per pass.
         """
         if TRACER.enabled and isinstance(query, Query):
             with TRACER.span(
@@ -354,12 +346,9 @@ class InferenceSession:
         from ..spn.compiled import cached_tape
 
         tape = self.tape if self.tape is not None else cached_tape(self.spn)
-        if self.execution.mode == "legacy" or not tape.kernels:
+        if not tape.kernels:
             return {"tape_slots": tape.n_slots, "peak_slots": tape.n_slots}
-        plan = tape.memory_plan(
-            fuse=self.execution.fuse, fuse_width=self.execution.fuse_width
-        )
-        return {"tape_slots": tape.n_slots, "peak_slots": plan.n_physical}
+        return {"tape_slots": tape.n_slots, "peak_slots": tape.memory_plan().n_physical}
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -651,8 +640,8 @@ class InferenceSession:
             return states
         # The per-row uniform table depends only on (seed, row id) and is
         # indexed by variable — never by draw order — so a row's samples
-        # are bit-identical across batch compositions, execution modes and
-        # serving micro-batches.
+        # are bit-identical across batch compositions and serving
+        # micro-batches.
         uniforms = np.stack([
             np.random.default_rng([query.seed, int(rid)]).random(
                 (n_samples, self.n_vars)
@@ -697,13 +686,9 @@ class InferenceSession:
         with TRACER.span("session.tape_pass", domain=domain, n_rows=data.shape[0]):
             if log_domain:
                 return evaluate_log_batch(
-                    self.spn, data, engine=self.engine, check=self.check,
-                    execution=self.execution,
+                    self.spn, data, engine=self.engine, check=self.check
                 )
-            return evaluate_batch(
-                self.spn, data, engine=self.engine, check=self.check,
-                execution=self.execution,
-            )
+            return evaluate_batch(self.spn, data, engine=self.engine, check=self.check)
 
     def log_partition(self) -> float:
         """Log partition function ``log Z``, computed once per session.
@@ -766,39 +751,31 @@ class InferenceSession:
 # --------------------------------------------------------------------------- #
 # Per-model session cache (backs the scalar wrappers)
 # --------------------------------------------------------------------------- #
-#: (id(spn), engine, execution options) -> session, LRU-bounded.  The
-#: session strongly
+#: (id(spn), engine) -> session, LRU-bounded.  The session strongly
 #: references its model (so a cached entry can never suffer id reuse), which
 #: also means weakref-based eviction could never fire — the bound is what
 #: keeps a model-churning caller (e.g. structure search scoring thousands of
 #: candidate SPNs through the scalar wrappers) from leaking sessions.
-_SESSION_CACHE: "OrderedDict[Tuple[int, str, ExecutionOptions], InferenceSession]" = (
-    OrderedDict()
-)
+_SESSION_CACHE: "OrderedDict[Tuple[int, str], InferenceSession]" = OrderedDict()
 _SESSION_CACHE_CAPACITY = 32
 
 
-def session_for(
-    model: Union[SPN, str],
-    engine: str = "vectorized",
-    execution: Union[ExecutionOptions, str, None] = None,
-) -> InferenceSession:
+def session_for(model: Union[SPN, str], engine: str = "vectorized") -> InferenceSession:
     """A shared session for ``model`` (the scalar wrappers route through this).
 
     Sessions hold only caches (tape pin, ``log Z``, operation list) — all
     invalidation-safe or recomputed cheaply — so sharing one per
-    ``(model, engine, execution)`` makes the deprecated scalar functions as
+    ``(model, engine)`` makes the deprecated scalar functions as
     cheap as their pre-session implementations while guaranteeing they
     execute the very same code path as batched callers.  The cache is a
     small LRU (:data:`_SESSION_CACHE_CAPACITY` entries); suite-name models
     share the registry's unbounded (nine-benchmark) cache instead.
     """
-    options = resolve_execution(execution)
     if isinstance(model, str):
         from ..suite.registry import benchmark_session
 
-        return benchmark_session(model, engine, execution=options)
-    key = (id(model), engine, options)
+        return benchmark_session(model, engine)
+    key = (id(model), engine)
     session = _SESSION_CACHE.get(key)
     # The strong reference inside the cached session guarantees `model`'s id
     # cannot have been reused while the entry exists — but guard on identity
@@ -806,7 +783,7 @@ def session_for(
     if session is not None and session.spn is model:
         _SESSION_CACHE.move_to_end(key)
         return session
-    session = InferenceSession(model, engine=engine, execution=options)
+    session = InferenceSession(model, engine=engine)
     _SESSION_CACHE[key] = session
     while len(_SESSION_CACHE) > _SESSION_CACHE_CAPACITY:
         _SESSION_CACHE.popitem(last=False)

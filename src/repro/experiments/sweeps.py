@@ -98,8 +98,8 @@ TREE_ARRANGEMENTS: Tuple[Tuple[str, int, int], ...] = (
 DEFAULT_CACHE_DIR = Path(".cache") / "sweeps"
 
 #: Bumped whenever the meaning of cached values changes; part of every key.
-#: v2: sweep points carry the tape execution mode.
-CACHE_VERSION = 2
+#: v3: sweep points no longer carry a tape execution mode.
+CACHE_VERSION = 3
 
 
 # --------------------------------------------------------------------------- #
@@ -111,18 +111,15 @@ class SweepPoint:
 
     ``kind`` selects the evaluation recipe (see :func:`evaluate_point`),
     ``platform`` names the engine the point runs on (a registry key, part of
-    the on-disk cache identity), ``execution`` the tape execution mode its
-    session uses (``""``: the repository default — part of the cache
-    identity, so planned/sharded/legacy measurements never collide), and
-    ``params`` is a sorted tuple of ``(name, value)`` pairs so that points
-    are hashable, comparable and JSON-stable.
+    the on-disk cache identity), and ``params`` is a sorted tuple of
+    ``(name, value)`` pairs so that points are hashable, comparable and
+    JSON-stable.
     """
 
     kind: str
     benchmark: str
     label: str
     platform: str = ""
-    execution: str = ""
     params: Tuple[Tuple[str, object], ...] = ()
 
     def param(self, name: str) -> object:
@@ -137,7 +134,6 @@ class SweepPoint:
             "benchmark": self.benchmark,
             "label": self.label,
             "platform": self.platform,
-            "execution": self.execution,
             "params": dict(self.params),
         }
 
@@ -271,7 +267,7 @@ def evaluate_point(point: SweepPoint) -> Dict[str, float]:
 
     if point.kind not in ("tree_arrangement", "allocation", "packing", "gpu_banks"):
         raise ValueError(f"unknown sweep point kind {point.kind!r}")
-    session = benchmark_session(point.benchmark, execution=point.execution or None)
+    session = benchmark_session(point.benchmark)
     engine = get_engine(point.platform)
     options: Optional[ScheduleOptions] = None
     if point.kind == "tree_arrangement":
@@ -327,7 +323,7 @@ def _code_fingerprint() -> str:
 def cache_key(point: SweepPoint, code: Optional[str] = None) -> str:
     """Stable content hash of a design point (the on-disk cache key).
 
-    Any change to the point's kind, benchmark, execution mode or parameters
+    Any change to the point's kind, benchmark, platform or parameters
     — or to :data:`CACHE_VERSION` or the ``repro`` package source
     (:func:`_code_fingerprint`) — yields a different key, so stale entries
     are never returned for a modified configuration or modified code.
@@ -871,7 +867,7 @@ def measure_classify_speedup(
 
 
 # --------------------------------------------------------------------------- #
-# Tape-memory measurement (memory-planned executor vs the legacy slot matrix)
+# Tape-memory measurement (the memory plan vs the dense slot matrix)
 # --------------------------------------------------------------------------- #
 def measure_tape_memory(
     benchmark: Optional[str] = None,
@@ -879,36 +875,31 @@ def measure_tape_memory(
     repeats: int = 3,
     seed: int = 33,
 ) -> Dict[str, object]:
-    """Measure the memory-planned tape executor against the legacy one.
+    """Measure the memory-planned tape executor on one suite profile.
 
-    The legacy executor materializes a dense ``(n_slots, n_rows)`` slot
-    matrix per row block; the planner (:mod:`repro.spn.memplan`) shrinks
-    the working set to ``plan.n_physical`` rows via liveness-based slot
-    reuse, lazy input encoding and broadcast-constant operands.  On the
+    The dense reference executor
+    (:meth:`~repro.spn.compiled.CompiledTape.execute_slots`) materializes an
+    ``(n_slots, n_rows)`` slot matrix; the planner (:mod:`repro.spn.memplan`)
+    shrinks the working set to ``plan.n_physical`` rows via liveness-based
+    slot reuse, lazy input encoding and broadcast-constant operands.  On the
     largest suite profile (``benchmark=None`` picks it by tape slots) this
-    measures, over an ``n_rows`` batch:
+    reports:
 
-    * **peak slot-buffer memory** per row — ``8 * n_slots`` legacy vs
-      ``8 * plan.n_physical`` planned (the ``memory_reduction`` ratio);
-    * **throughput** — legacy vs planned wall-clock in both domains,
-      interleaved within each repeat so machine drift hits all executors
-      alike (best of ``repeats``);
-    * **shard scaling** — planned single-thread vs sharded execution with
-      the thread count the CPU platform engine recommends
-      (:meth:`repro.platforms.base.PlatformEngine.execution_options`),
-      reported for the log domain, whose ``logaddexp`` kernels release the
-      GIL for the longest stretches.  Scaling above 1 needs real cores:
-      ``cpu_count`` travels with the result so the benchmark gate can
-      restrict itself to hosts with >= 4.
+    * **peak slot-buffer memory** per row — analytic: ``8 * n_slots`` dense
+      (``peak_bytes_per_row_legacy``) vs ``8 * plan.n_physical`` planned
+      (the ``memory_reduction`` ratio);
+    * **throughput** — planned wall-clock over an ``n_rows`` batch in both
+      domains (best of ``repeats``).
 
-    All three executors' outputs are asserted **bit-identical**
-    (``array_equal``) before any number is reported.  Returns a flat dict
-    for the ``tape_memory`` section of ``BENCH_sweeps.json``.
+    Before any number is reported, the planned root is asserted
+    **bit-identical** (``array_equal``) to the dense root on a 256-row
+    prefix in both domains.  Returns a flat dict for the
+    ``tape_memory`` section of ``BENCH_sweeps.json``.
     """
     import numpy as np
 
-    from ..platforms import PLATFORM_CPU, get_engine
     from ..spn.generate import random_evidence
+    from ..spn.memplan import execute_plan
     from ..suite.registry import benchmark_n_vars, benchmark_names, benchmark_tape
 
     if benchmark is None:
@@ -918,33 +909,21 @@ def measure_tape_memory(
     n_vars = benchmark_n_vars(benchmark)
     data = random_evidence(n_vars, observed_fraction=0.6, seed=seed, n_samples=n_rows)
 
-    sharded = get_engine(PLATFORM_CPU).execution_options()
-    runs = {
-        "legacy": lambda log: tape.execute_batch(data, log_domain=log, execution="legacy"),
-        "planned": lambda log: tape.execute_batch(data, log_domain=log),
-        "sharded": lambda log: tape.execute_batch(data, log_domain=log, execution=sharded),
-    }
-    times: Dict[str, float] = {}
-    outputs: Dict[str, "np.ndarray"] = {}
+    prefix = data[:256]
     for log in (False, True):
-        suffix = "_log" if log else ""
+        dense = tape.execute_slots(prefix, log_domain=log)[tape.root_slot]
+        if not np.array_equal(execute_plan(plan, prefix, log), dense, equal_nan=True):
+            raise AssertionError(
+                f"planned execution is not bit-identical to the dense slot "
+                f"matrix (log_domain={log})"
+            )
+    times: Dict[bool, float] = {}
+    for log in (False, True):
+        times[log] = float("inf")
         for _ in range(max(1, repeats)):
-            for name, fn in runs.items():  # interleaved: drift hits all alike
-                start = time.perf_counter()
-                out = fn(log)
-                elapsed = time.perf_counter() - start
-                key = name + suffix
-                if elapsed < times.get(key, float("inf")):
-                    times[key] = elapsed
-                outputs[key] = out
-        for name in ("planned", "sharded"):
-            if not np.array_equal(
-                outputs[name + suffix], outputs["legacy" + suffix], equal_nan=True
-            ):
-                raise AssertionError(
-                    f"{name} execution is not bit-identical to legacy "
-                    f"(log_domain={log})"
-                )
+            start = time.perf_counter()
+            tape.execute_batch(data, log_domain=log)
+            times[log] = min(times[log], time.perf_counter() - start)
 
     return {
         "benchmark": benchmark,
@@ -957,17 +936,9 @@ def measure_tape_memory(
         "memory_reduction": tape.n_slots / plan.n_physical,
         "peak_bytes_per_row_legacy": 8 * int(tape.n_slots),
         "peak_bytes_per_row_planned": 8 * int(plan.n_physical),
-        "t_legacy_s": times["legacy"],
-        "t_planned_s": times["planned"],
-        "t_sharded_s": times["sharded"],
-        "t_legacy_log_s": times["legacy_log"],
-        "t_planned_log_s": times["planned_log"],
-        "t_sharded_log_s": times["sharded_log"],
-        "throughput_planned_rps": n_rows / times["planned"],
-        "speedup_planned_vs_legacy": times["legacy"] / times["planned"],
-        "speedup_planned_vs_legacy_log": times["legacy_log"] / times["planned_log"],
-        "sharded_threads": int(sharded.n_threads),
-        "sharded_scaling_log": times["planned_log"] / times["sharded_log"],
+        "t_planned_s": times[False],
+        "t_planned_log_s": times[True],
+        "throughput_planned_rps": n_rows / times[False],
         "cpu_count": int(os.cpu_count() or 1),
         "bit_identical": True,
     }
@@ -1184,7 +1155,7 @@ def measure_observability_overhead(
 
     def run_disabled():
         with observability_scope(metrics=False, tracing=False):
-            return tape.execute_batch(evidence, log_domain=True, execution="planned")
+            return tape.execute_batch(evidence, log_domain=True)
 
     def run_session_off():
         with observability_scope(metrics=False, tracing=False):
@@ -1198,7 +1169,7 @@ def measure_observability_overhead(
 
     def run_profiled():
         with profiler:
-            return tape.execute_batch(evidence, log_domain=True, execution="planned")
+            return tape.execute_batch(evidence, log_domain=True)
 
     regimes = {
         "raw": run_raw,
@@ -1657,7 +1628,7 @@ def _cli(argv: Optional[Sequence[str]] = None) -> int:
             f"{tape_memory['memory_reduction']:.1f}x "
             f"({tape_memory['n_slots']} -> {tape_memory['n_physical']} rows on "
             f"{tape_memory['benchmark']}), planned executor "
-            f"{tape_memory['speedup_planned_vs_legacy']:.2f}x legacy"
+            f"{tape_memory['throughput_planned_rps']:.0f} rows/s"
         )
         lifecycle = measure_lifecycle()
         print(

@@ -9,7 +9,7 @@ compilation or planning**: deserialize, adopt, serve.  Because JSON
 round-trips every float exactly and the derived structures are recomputed
 deterministically, a loaded artifact executes **bit-identically**
 (``array_equal``) to the freshly compiled model it was built from, on every
-execution mode and every query kind.
+query kind.
 
 File layout (one JSON document)::
 
@@ -61,6 +61,7 @@ from ..spn.memplan import (
     DEFAULT_FUSE_WIDTH,
     MemoryPlan,
     plan_from_payload,
+    plan_memory,
     plan_to_payload,
 )
 
@@ -109,9 +110,10 @@ def content_hash(body: dict) -> str:
 class ModelArtifact:
     """A packaged model: SPN, compiled tape, memory plan, and provenance.
 
-    ``tape`` already has ``plan`` adopted into its plan cache for the
-    recorded ``(fuse, fuse_width)``, so :meth:`session` (and anything else
-    evaluating through the tape) never plans.  ``ops`` is reconstructed
+    ``tape`` already has ``plan`` adopted as its one memory plan, so
+    :meth:`session` (and anything else evaluating through the tape) never
+    plans and runs exactly the plan that was built, shipped and verified;
+    ``fuse``/``fuse_width`` record how it was planned.  ``ops`` is reconstructed
     lazily from the stored payload — cold-start latency pays only for what
     serving actually touches (the sweep query kinds that need the
     operation list resolve it on first use).
@@ -150,7 +152,6 @@ class ModelArtifact:
         self,
         engine: str = "vectorized",
         check: bool = False,
-        execution=None,
     ):
         """An :class:`~repro.api.session.InferenceSession` on the AOT tape.
 
@@ -164,7 +165,6 @@ class ModelArtifact:
             self.spn,
             engine=engine,
             check=check,
-            execution=execution,
             tape=self.tape if engine == "vectorized" else None,
             n_vars=self.n_vars,
         )
@@ -231,7 +231,8 @@ def build_artifact(
         ops = None
     ops = ops if ops is not None else linearize(spn)
     tape = compile_tape(ops)
-    plan = tape.memory_plan(fuse=fuse, fuse_width=width)
+    plan = plan_memory(tape, fuse=fuse, fuse_width=width)
+    tape.adopt_plan(plan)
     n_vars = max((s.var for s in tape.inputs if s.kind == "indicator"), default=-1) + 1
     artifact = ModelArtifact(
         name=name,
@@ -336,7 +337,7 @@ def artifact_from_payload(payload: dict) -> ModelArtifact:
         verify_compiled(tape, plan)
     except VerificationError as exc:
         raise ArtifactIntegrityError(f"static verification failed: {exc}") from None
-    tape.adopt_plan(plan, fuse=fuse, fuse_width=fuse_width)
+    tape.adopt_plan(plan)
     return ModelArtifact(
         name=name,
         version=version,

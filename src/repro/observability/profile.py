@@ -9,12 +9,12 @@ current thread/task::
         session.run(LogLikelihood(evidence=batch))
     print(prof.render())
 
-While active, every tape execution — planned, sharded or legacy, via
-:meth:`repro.spn.compiled.CompiledTape.execute_batch` — records one sample
-per fused kernel: **elapsed** wall time (monotonic clock), **rows**
-processed and **bytes** moved (operand reads + destination writes at 8
-bytes/value, straight off the memory plan's physical layout — the
-quantity the paper argues is the bottleneck).  Input-encoding work is
+While active, every tape execution via
+:meth:`repro.spn.compiled.CompiledTape.execute_batch` records one sample
+per fused kernel of the tape's memory plan: **elapsed** wall time
+(monotonic clock), **rows** processed and **bytes** moved (operand reads
++ destination writes at 8 bytes/value, straight off the memory plan's
+physical layout — the quantity the paper argues is the bottleneck).  Input-encoding work is
 attributed to a per-kernel ``encode`` pseudo-entry, so the aggregate
 accounts for essentially all of a pass's wall time (the benchmark gate
 requires >= 90%).
@@ -22,10 +22,9 @@ requires >= 90%).
 The hooks this relies on are *compiled out* when no profiler is active:
 executors resolve :func:`active_profiler` **once per batch** and take the
 original uninstrumented kernel loop when it returns ``None`` — per-kernel
-timing never taxes an unprofiled run.  Sharded execution passes the
-resolved profiler into its worker threads explicitly (context variables
-do not cross thread-pool boundaries); :meth:`TapeProfiler.record` is
-thread-safe, so shard samples merge into the same aggregate.
+timing never taxes an unprofiled run.  :meth:`TapeProfiler.record` is
+thread-safe, so samples from concurrent serving workers merge into the
+same aggregate.
 
 Aggregation is by **kernel key** (tape position, opcode, fused width):
 :meth:`TapeProfiler.table` returns the "top kernels" rows sorted by total
@@ -104,7 +103,7 @@ class TapeProfiler:
     def record(
         self, key: str, op: str, width: int, elapsed_s: float, rows: int, nbytes: int
     ) -> None:
-        """Merge one kernel execution sample (thread-safe, shards included)."""
+        """Merge one kernel execution sample (thread-safe)."""
         with self._lock:
             stat = self._stats.get(key)
             if stat is None:

@@ -97,18 +97,6 @@ class PlatformEngine(abc.ABC):
         """This platform's Table I row: (name, compute units, memory, banks)."""
 
     # ------------------------------------------------------------------ #
-    def execution_options(self):
-        """Tape :class:`~repro.spn.memplan.ExecutionOptions` for this platform.
-
-        Platforms that *functionally execute* compiled tapes on the host
-        (the CPU engine) return the executor configuration a session
-        should use to exploit them — shard-pool size above all; pure
-        timing models return ``None``.  The tape-memory benchmark and
-        sessions created per platform read this instead of hand-wiring
-        thread counts.
-        """
-        return None
-
     def configured(self, **overrides: object) -> "PlatformEngine":
         """Copy of this engine with ``config`` fields replaced by ``overrides``."""
         return dataclasses.replace(

@@ -14,7 +14,6 @@ from typing import Mapping, Optional, Tuple
 from ..baselines.cpu import CpuConfig, simulate_cpu
 from ..baselines.gpu import GpuConfig, simulate_gpu
 from ..processor.config import ProcessorConfig, ptree_config, pvect_config
-from ..spn.memplan import ExecutionOptions
 from .base import (
     PLATFORM_CPU,
     PLATFORM_GPU,
@@ -30,20 +29,9 @@ __all__ = ["CpuEngine", "GpuEngine", "ProcessorEngine"]
 
 @dataclass(frozen=True)
 class CpuEngine(PlatformEngine):
-    """Trace-driven model of the superscalar CPU (Sec. III, ``baselines.cpu``).
-
-    Besides the timing model, the CPU is the one platform that also
-    *functionally executes* compiled tapes on the host, so the engine
-    carries the recommended tape executor configuration (``execution``):
-    sharded planned execution with one shard per host core by default.
-    Sessions and the tape-memory benchmark obtain it through
-    :meth:`execution_options` instead of hand-wiring thread counts.
-    """
+    """Trace-driven model of the superscalar CPU (Sec. III, ``baselines.cpu``)."""
 
     config: CpuConfig = field(default_factory=CpuConfig)
-    execution: ExecutionOptions = field(
-        default_factory=lambda: ExecutionOptions(mode="sharded")
-    )
 
     description = (
         "Out-of-order superscalar core executing the flat operation list as "
@@ -54,9 +42,6 @@ class CpuEngine(PlatformEngine):
     @property
     def name(self) -> str:
         return PLATFORM_CPU
-
-    def execution_options(self) -> ExecutionOptions:
-        return self.execution
 
     def run(
         self,

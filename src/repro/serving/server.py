@@ -90,7 +90,6 @@ from ..lifecycle.registry import ModelRegistry, PublishReport
 from ..observability import REGISTRY, TRACER, metrics_enabled
 from ..spn.compiled import resolve_engine
 from ..spn.graph import SPN
-from ..spn.memplan import ExecutionOptions, resolve_execution
 from .metrics import ServingMetrics
 from .queue import (
     BatchingPolicy,
@@ -349,15 +348,6 @@ class InferenceServer:
     warm:
         Compile every hosted model's tape at registration instead of on the
         first request (keeps compilation latency out of the serving path).
-    execution:
-        Tape executor for the hosted sessions — an
-        :class:`~repro.spn.memplan.ExecutionOptions` or a mode string
-        (``"planned"`` default, ``"sharded"``, ``"legacy"``; all
-        bit-identical).  Under the planned modes every worker thread
-        executes a model's micro-batches in one per-model scratch buffer,
-        preallocated up to the batching policy's ``max_batch_size`` when
-        the worker starts, instead of allocating a fresh ``(n_slots,
-        n_rows)`` matrix per micro-batch.
     slow_query_s:
         Slow-query threshold in seconds.  A request whose submit-to-result
         latency meets it is logged at WARNING on the ``repro.serving``
@@ -387,7 +377,6 @@ class InferenceServer:
         n_workers: int = 1,
         engine: str = "vectorized",
         warm: bool = True,
-        execution: Union[ExecutionOptions, str, None] = None,
         slow_query_s: Optional[float] = None,
         max_in_flight: Optional[int] = None,
         max_rescues: int = 3,
@@ -403,7 +392,6 @@ class InferenceServer:
             raise ValueError(f"heal_interval_s must be > 0, got {heal_interval_s}")
         self.policy = policy or BatchingPolicy()
         self.engine = resolve_engine(engine)
-        self.execution = resolve_execution(execution)
         self.metrics = ServingMetrics()
         self.slow_query_s = slow_query_s
         self._warm = warm
@@ -489,10 +477,7 @@ class InferenceServer:
         if self.registry.live_version(name) is not None:
             raise ValueError(f"model {name!r} is already hosted")
         session = InferenceSession(
-            spn if spn is not None else name,
-            engine=self.engine,
-            warm=self._warm,
-            execution=self.execution,
+            spn if spn is not None else name, engine=self.engine, warm=self._warm
         )
         return self._install(name, version, session, artifact=None, validate=False).served
 
@@ -509,7 +494,7 @@ class InferenceServer:
         name = artifact.name if name is None else name
         if self.registry.live_version(name) is not None:
             raise ValueError(f"model {name!r} is already hosted")
-        session = artifact.session(engine=self.engine, execution=self.execution)
+        session = artifact.session(engine=self.engine)
         return self._install(
             name, artifact.version, session, artifact=artifact, validate=False
         ).served
@@ -540,13 +525,11 @@ class InferenceServer:
         artifact: Optional[ModelArtifact] = None
         if isinstance(model, ModelArtifact):
             artifact = model
-            session = model.session(engine=self.engine, execution=self.execution)
+            session = model.session(engine=self.engine)
         elif isinstance(model, InferenceSession):
             session = model
         else:
-            session = InferenceSession(
-                model, engine=self.engine, warm=self._warm, execution=self.execution
-            )
+            session = InferenceSession(model, engine=self.engine, warm=self._warm)
         return self._install(
             name, version, session, artifact=artifact, validate=validate
         ).report
@@ -1261,15 +1244,10 @@ class InferenceServer:
         thread-local buffer on first use).  Iterates a snapshot: a
         concurrent :meth:`add_model` must not kill the worker mid-scan.
         """
-        if self.execution.mode == "legacy":
-            return
         for served in list(self._served.values()):
             tape = served.tape
             if tape is not None and tape.kernels:
-                plan = tape.memory_plan(
-                    fuse=self.execution.fuse, fuse_width=self.execution.fuse_width
-                )
-                plan.reserve(self.policy.max_batch_size)
+                tape.memory_plan().reserve(self.policy.max_batch_size)
 
     def _execute(
         self, served: ServedModel, key: tuple, items: Sequence[WorkItem]

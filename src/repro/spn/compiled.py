@@ -28,13 +28,11 @@ domain) per kernel, reading operands through copy-free slice views when a
 kernel's operand range is contiguous (the common case after the reorder
 step) and fancy-indexed gathers otherwise.  The whole batch is evaluated
 with ``O(depth)`` NumPy calls instead of ``O(n_operations * n_rows)``
-Python bytecode.  The value buffer depends on the execution mode
-(``execution=``, see :mod:`repro.spn.memplan`): the default **planned**
-mode runs a memory-planned physical-slot program whose working set is the
-tape's liveness peak (several times smaller than ``n_slots``), **sharded**
-adds row-shard thread parallelism for very large batches, and **legacy**
-keeps the original dense ``(n_slots, n_rows)`` slot matrix — all three
-bit-identical.
+Python bytecode.  Batches run the tape's memory plan
+(:mod:`repro.spn.memplan`): a physical-slot program whose working set is
+the tape's liveness peak, several times smaller than ``n_slots``.
+:meth:`CompiledTape.execute_slots` keeps the dense ``(n_slots, n_rows)``
+slot matrix as the reference the plan is bit-identical to.
 
 A log-domain pass (``log_domain=True``) runs the linear kernels and takes
 one ``np.log`` per row, keeping that answer for rows whose linear root lies
@@ -51,17 +49,18 @@ Evidence batches follow the canonical convention documented at
 
 Cross-checking: :attr:`CompiledTape.slot_map` maps every slot of the source
 operation list to its tape slot, so a full slot-by-slot comparison against
-:meth:`OperationList.execute_values` is possible (the tests and the
-``check=True`` paths of the engine dispatchers use this).
+:meth:`OperationList.execute_values` is possible (the tests use this).  The
+``check=True`` paths of the engine dispatchers statically verify the tape
+and its plan (:meth:`CompiledTape.verify_static`) and compare a batch
+prefix against the python reference walk (:func:`cross_check`).
 """
 
 from __future__ import annotations
 
 import threading
-import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -77,23 +76,12 @@ from .linearize import (
     input_slots_to_payload,
     linearize,
 )
-from .memplan import (
-    DEFAULT_FUSE_WIDTH,
-    ExecutionOptions,
-    MemoryPlan,
-    _as_stride_slice as _as_slice,
-    _blocked_plan,
-    execute_sharded,
-    plan_memory,
-    resolve_execution,
-    verify_plan,
-)
+from .memplan import MemoryPlan, _as_stride_slice as _as_slice, execute_plan, plan_memory
 
 __all__ = [
     "ENGINES",
     "CHECK_ROWS",
     "EngineMismatchError",
-    "ExecutionOptions",
     "TapeKernel",
     "CompiledTape",
     "compile_tape",
@@ -104,7 +92,6 @@ __all__ = [
     "cross_check",
     "log_via_linear",
     "resolve_engine",
-    "resolve_execution",
 ]
 
 #: Names accepted by every ``engine=`` switch in the repository.
@@ -113,8 +100,9 @@ ENGINES = ("python", "vectorized")
 #: Rows used by ``check=True`` cross-checks between execution engines.
 CHECK_ROWS = 8
 
-#: Target size of the per-block slot matrix in :meth:`CompiledTape.execute_batch`;
-#: chosen to keep the working set inside the last-level cache.
+#: Target size of the per-block physical buffer in
+#: :meth:`CompiledTape.execute_batch`; chosen to keep the working set inside
+#: the last-level cache.
 _BLOCK_BYTES = 8 << 20
 
 
@@ -294,11 +282,11 @@ class CompiledTape:
         # Contiguous operand ranges execute as copy-free slice views.
         self._arg0_views = [_as_slice(k.arg0) for k in self.kernels]
         self._arg1_views = [_as_slice(k.arg1) for k in self.kernels]
-        # Memory plans, cached per (fuse, fuse_width); see memory_plan().
-        # The lock makes concurrent first calls (serving worker pools
-        # prewarming one tape) share a single plan — and therefore a
-        # single set of per-thread scratch buffers.
-        self._plan_cache: Dict[Tuple[bool, int], MemoryPlan] = {}
+        # The tape's one memory plan; see memory_plan().  The lock makes
+        # concurrent first calls (serving worker pools prewarming one tape)
+        # share a single plan — and therefore a single set of per-thread
+        # scratch buffers.
+        self._plan: Optional[MemoryPlan] = None
         self._plan_lock = threading.Lock()
         # Proved on the first log pass; see linear_floor().
         self._linear_floor: Optional[float] = None
@@ -396,22 +384,18 @@ class CompiledTape:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def execute_slots(
-        self, data: np.ndarray, log_domain: bool = False, profiler=None
-    ) -> np.ndarray:
+    def execute_slots(self, data: np.ndarray, log_domain: bool = False) -> np.ndarray:
         """Run the tape on an evidence batch and return all slot values.
 
         Returns the full ``(n_slots, n_rows)`` value matrix (in tape slot
-        order); :meth:`execute_batch` is the root-only convenience wrapper.
-        ``profiler`` (a :class:`repro.observability.TapeProfiler`) routes to
-        an instrumented copy of the kernel loop; ``None`` — the default —
-        keeps this loop untouched.
+        order).  This dense executor is the reference the memory plan is
+        bit-identical to, and it answers kernel-less tapes, whose slot
+        matrix is just the input block; :meth:`execute_batch` is the
+        root-only, memory-planned entry point.
         """
         data = as_evidence_array(data)
         if data.ndim != 2:
             raise ValueError(f"expected a 2-D evidence array, got shape {data.shape}")
-        if profiler is not None:
-            return self._execute_slots_profiled(data, log_domain, profiler)
         n_rows = data.shape[0]
         slots = np.empty((self.n_slots, n_rows), dtype=np.float64)
         self.input_matrix(data, log_domain=log_domain, out=slots[: self.n_inputs])
@@ -430,75 +414,47 @@ class CompiledTape:
                 np.add(a, b, out=dest) if kernel.is_add else np.multiply(a, b, out=dest)
         return slots
 
-    def _execute_slots_profiled(
-        self, data: np.ndarray, log_domain: bool, profiler
-    ) -> np.ndarray:
-        """Instrumented twin of the :meth:`execute_slots` loop (legacy mode).
+    def memory_plan(self) -> MemoryPlan:
+        """The tape's :class:`~repro.spn.memplan.MemoryPlan` (planned once).
 
-        One sample per tape kernel (keyed ``k<index>`` in tape order) plus
-        an ``input_matrix`` pseudo-kernel for the dense input encoding;
-        bytes count the two operand reads and the destination write of each
-        lane at 8 bytes per value.
+        Every batched pass runs this plan, with a working set of
+        ``plan.n_physical`` rows instead of ``n_slots``.  It is either
+        planned here on first use (default fusion settings) or installed
+        by :meth:`adopt_plan`.
         """
-        n_rows = data.shape[0]
-        slots = np.empty((self.n_slots, n_rows), dtype=np.float64)
-        t_pass = time.perf_counter()
-        t0 = t_pass
-        self.input_matrix(data, log_domain=log_domain, out=slots[: self.n_inputs])
-        profiler.record(
-            "input_matrix", "enc", self.n_inputs,
-            time.perf_counter() - t0, n_rows, 8 * n_rows * self.n_inputs,
-        )
-        for i, (kernel, view0, view1) in enumerate(
-            zip(self.kernels, self._arg0_views, self._arg1_views)
-        ):
-            t0 = time.perf_counter()
-            a = slots[view0 if view0 is not None else kernel.arg0]
-            b = slots[view1 if view1 is not None else kernel.arg1]
-            dest = slots[kernel.dest_start : kernel.dest_stop]
-            if log_domain:
-                np.logaddexp(a, b, out=dest) if kernel.is_add else np.add(a, b, out=dest)
-            else:
-                np.add(a, b, out=dest) if kernel.is_add else np.multiply(a, b, out=dest)
-            profiler.record(
-                f"k{i:03d}", kernel.op, kernel.width,
-                time.perf_counter() - t0, n_rows, 8 * n_rows * kernel.width * 3,
-            )
-        profiler.record_pass(time.perf_counter() - t_pass)
-        return slots
-
-    def memory_plan(
-        self, fuse: bool = True, fuse_width: Optional[int] = None
-    ) -> MemoryPlan:
-        """The tape's :class:`~repro.spn.memplan.MemoryPlan` (cached).
-
-        Planning runs once per tape and parameter set; the plan is what the
-        default (``"planned"``) and ``"sharded"`` execution modes run, with
-        a working set of ``plan.n_physical`` rows instead of the legacy
-        ``n_slots``.
-        """
-        width = DEFAULT_FUSE_WIDTH if fuse_width is None else int(fuse_width)
-        key = (bool(fuse), width)
         with self._plan_lock:
-            plan = self._plan_cache.get(key)
-            if plan is None:
-                plan = plan_memory(self, fuse=fuse, fuse_width=width)
-                self._plan_cache[key] = plan
-        return plan
+            if self._plan is None:
+                self._plan = plan_memory(self)
+            return self._plan
 
-    def adopt_plan(
-        self, plan: MemoryPlan, fuse: bool = True, fuse_width: Optional[int] = None
-    ) -> None:
-        """Seed the plan cache with a deserialized :class:`MemoryPlan`.
+    def adopt_plan(self, plan: MemoryPlan) -> None:
+        """Install ``plan`` as the tape's one memory plan.
 
         AOT artifacts (:mod:`repro.lifecycle`) ship the memory plan alongside
-        the tape; adopting it makes :meth:`memory_plan` — and therefore the
-        planned/sharded executors — run without ever calling
+        the tape; adopting it makes :meth:`memory_plan` — and therefore
+        every batched pass — run the shipped plan without ever calling
         :func:`~repro.spn.memplan.plan_memory` at load time.
         """
-        width = DEFAULT_FUSE_WIDTH if fuse_width is None else int(fuse_width)
         with self._plan_lock:
-            self._plan_cache[(bool(fuse), width)] = plan
+            self._plan = plan
+
+    def verify_static(self) -> None:
+        """Statically verify the tape and its memory plan (``check=True``).
+
+        Runs :func:`repro.statics.verifier.verify_compiled` before any
+        value check, so dataflow violations (aliased slots, understated
+        liveness) are proved wholesale rather than hoped-to-surface on the
+        prefix rows.  Memoized per plan object: checked batches pay it
+        once.  A kernel-less tape has no plan and verifies the tape alone.
+        """
+        plan = self.memory_plan() if self.kernels else None
+        if getattr(plan, "_statics_verified", False):
+            return
+        from ..statics.verifier import verify_compiled
+
+        verify_compiled(self, plan)
+        if plan is not None:
+            plan._statics_verified = True
 
     def linear_floor(self) -> float:
         """The smallest linear root a log pass answers as ``log(root)`` (cached).
@@ -515,97 +471,52 @@ class CompiledTape:
             floor = self._linear_floor = linear_floor(self)
         return floor
 
-    def execute_batch(
-        self,
-        data: np.ndarray,
-        log_domain: bool = False,
-        execution: Union[ExecutionOptions, str, None] = None,
-    ) -> np.ndarray:
+    def execute_batch(self, data: np.ndarray, log_domain: bool = False) -> np.ndarray:
         """Evaluate the root for a batch of evidence rows.
 
         Returns a ``(n_rows,)`` vector of root values (log-values with
-        ``log_domain=True``).  ``execution`` selects the executor
-        (:class:`~repro.spn.memplan.ExecutionOptions` or a bare mode
-        string): the default **planned** mode runs the memory-planned
-        physical-slot program — working set ``plan.n_physical`` rows
+        ``log_domain=True``), computed by the tape's memory plan
+        (:meth:`memory_plan`): working set ``plan.n_physical`` rows
         instead of ``n_slots``, root written directly into the output
-        vector — **sharded** additionally fans row shards out on a thread
-        pool, and **legacy** keeps the original dense slot matrix.  All
-        modes are bit-identical; ``execution.check`` verifies planned
-        output against the legacy slot matrix on a batch prefix.  Large
-        batches are processed in row blocks sized so the working set stays
-        cache-resident (big-batch execution otherwise degrades
-        superlinearly once the matrix spills to RAM) — the planned modes
-        fit several times more rows per block.
+        vector, bit-identical to the root row of :meth:`execute_slots`.
+        Large batches are processed in row blocks sized so the working
+        set stays cache-resident (big-batch execution otherwise degrades
+        superlinearly once the buffer spills to RAM).
 
         A log pass runs the linear kernels and answers each row with the
         ``log`` of its root when that root is at or above
         :meth:`linear_floor`; the remaining rows rerun through the exact
-        log kernels (:func:`log_via_linear`).  The rule sits above the
-        mode dispatch, so every mode applies it identically.
+        log kernels (:func:`log_via_linear`).
         """
         data = np.asarray(data)
         if data.ndim != 2:
             raise ValueError(f"expected a 2-D evidence array, got shape {data.shape}")
-        options = resolve_execution(execution)
-        # Resolved once per batch: ``None`` (no profiler active) keeps every
+        # Resolved once per batch: ``None`` (no profiler active) keeps the
         # executor below on its uninstrumented kernel loop.
         profiler = active_profiler()
         if not log_domain:
-            return self._execute_root(data, False, options, profiler)
+            return self._execute_root(data, False, profiler)
         return log_via_linear(
             data,
             self.linear_floor(),
-            lambda rows: self._execute_root(rows, False, options, profiler),
-            lambda rows: self._execute_root(rows, True, options, profiler),
+            lambda rows: self._execute_root(rows, False, profiler),
+            lambda rows: self._execute_root(rows, True, profiler),
         )
 
-    def _execute_root(
-        self,
-        data: np.ndarray,
-        log_domain: bool,
-        options: ExecutionOptions,
-        profiler,
-    ) -> np.ndarray:
-        """Root values of one batch in one domain, through ``options.mode``."""
-        n_rows = data.shape[0]
-        if options.mode == "legacy" or not self.kernels:
+    def _execute_root(self, data: np.ndarray, log_domain: bool, profiler) -> np.ndarray:
+        """Root values of one batch in one domain, in cache-sized row blocks."""
+        if not self.kernels:
             # A kernel-less tape (the SPN is a single leaf) has no program
-            # to plan; the dense path answers it directly.
-            block = max(64, _BLOCK_BYTES // (8 * max(self.n_slots, 1)))
-            if n_rows <= block:
-                return self.execute_slots(
-                    data, log_domain=log_domain, profiler=profiler
-                )[self.root_slot].copy()
-            out = np.empty(n_rows, dtype=np.float64)
-            for start in range(0, n_rows, block):
-                chunk = self.execute_slots(
-                    data[start : start + block], log_domain=log_domain,
-                    profiler=profiler,
-                )
-                out[start : start + block] = chunk[self.root_slot]
-            return out
-        plan = self.memory_plan(fuse=options.fuse, fuse_width=options.fuse_width)
+            # to plan; its slot matrix is the input block.
+            return self.execute_slots(data, log_domain=log_domain)[self.root_slot].copy()
+        plan = self.memory_plan()
         data = as_evidence_array(data)
-        if options.check:
-            # Static verification precedes the value replay: dataflow
-            # violations (aliased slots, understated liveness) are proved
-            # wholesale rather than hoped-to-surface on the prefix rows.
-            # Memoized per plan object — checked batches pay it once.
-            if not getattr(plan, "_statics_verified", False):
-                from ..statics.verifier import verify_compiled
-
-                verify_compiled(self, plan)
-                plan._statics_verified = True
-            verify_plan(self, plan, data[:CHECK_ROWS], log_domain=log_domain)
-        block = max(64, _BLOCK_BYTES // (8 * max(plan.n_physical, 1)))
+        n_rows = data.shape[0]
+        block = max(64, _BLOCK_BYTES // (8 * plan.n_physical))
         out = np.empty(n_rows, dtype=np.float64)
-        if options.mode == "sharded":
-            return execute_sharded(
-                plan, data, log_domain=log_domain, out=out,
-                options=options, block_rows=block, profiler=profiler,
-            )
-        _blocked_plan(plan, data, log_domain, out, block, profiler)
+        for start in range(0, n_rows, block):
+            rows = slice(start, start + block)
+            execute_plan(plan, data[rows], log_domain, out[rows], profiler)
         return out
 
     def execute(

@@ -200,8 +200,7 @@ def evaluate_log(spn: SPN, evidence: Optional[Mapping[int, int]] = None) -> floa
 
 
 def evaluate_batch(
-    spn: SPN, data: np.ndarray, engine: str = "python", check: bool = False,
-    execution=None,
+    spn: SPN, data: np.ndarray, engine: str = "python", check: bool = False
 ) -> np.ndarray:
     """Evaluate the SPN on a batch of samples.
 
@@ -216,14 +215,12 @@ def evaluate_batch(
         the network to a levelized tape (:mod:`repro.spn.compiled`) and
         evaluates the whole batch with a few fused kernels.
     check:
-        With the vectorized engine, additionally evaluate the first few rows
-        with the reference engine and raise
-        :class:`~repro.spn.compiled.EngineMismatchError` on disagreement.
-    execution:
-        Executor for the vectorized engine — an
-        :class:`~repro.spn.memplan.ExecutionOptions` or a bare mode string
-        (``"planned"`` default, ``"sharded"``, ``"legacy"``; all
-        bit-identical).  Ignored by the python engine.
+        With the vectorized engine, first statically verify the tape and
+        its memory plan (:meth:`~repro.spn.compiled.CompiledTape.verify_static`,
+        :class:`~repro.statics.verifier.VerificationError` on a violation),
+        then evaluate the first few rows with the reference engine and
+        raise :class:`~repro.spn.compiled.EngineMismatchError` on
+        disagreement.
 
     Returns
     -------
@@ -234,7 +231,10 @@ def evaluate_batch(
 
     if resolve_engine(engine) == "vectorized":
         data = as_evidence_array(data)
-        result = cached_tape(spn).execute_batch(data, execution=execution)
+        tape = cached_tape(spn)
+        if check:
+            tape.verify_static()
+        result = tape.execute_batch(data)
         if check:
             cross_check(
                 result,
@@ -281,8 +281,7 @@ def evaluate_batch(
 
 
 def evaluate_log_batch(
-    spn: SPN, data: np.ndarray, engine: str = "python", check: bool = False,
-    execution=None,
+    spn: SPN, data: np.ndarray, engine: str = "python", check: bool = False
 ) -> np.ndarray:
     """Log-domain batched evaluation (numerically robust for deep networks).
 
@@ -293,8 +292,8 @@ def evaluate_log_batch(
     exact log kernels (products add, sums combine with ``logaddexp``) for
     the rest (see :meth:`~repro.spn.compiled.CompiledTape.execute_batch`).
     Rows with zero probability return ``-inf``.  ``data`` follows the
-    :data:`MARGINALIZED` convention; ``check`` and ``execution`` behave as
-    in :func:`evaluate_batch`.
+    :data:`MARGINALIZED` convention; ``check`` behaves as in
+    :func:`evaluate_batch`.
     """
     from .compiled import cached_tape, cross_check, resolve_engine
 
@@ -302,7 +301,10 @@ def evaluate_log_batch(
     if data.ndim != 2:
         raise ValueError(f"expected a 2-D evidence array, got shape {data.shape}")
     if resolve_engine(engine) == "vectorized":
-        result = cached_tape(spn).execute_batch(data, log_domain=True, execution=execution)
+        tape = cached_tape(spn)
+        if check:
+            tape.verify_static()
+        result = tape.execute_batch(data, log_domain=True)
         if check:
             cross_check(
                 result,

@@ -3,9 +3,9 @@
 The source paper's central observation is that SPN inference is
 *memory-bound*: throughput on every platform is set by how much live state
 the evaluation has to keep close to the arithmetic units, not by the
-arithmetic itself.  The legacy executor of :mod:`repro.spn.compiled`
-ignores that lesson on the software side — it materializes one row per tape
-slot, so the working set of a batch grows with the *length* of the tape
+arithmetic itself.  The dense reference executor
+(:meth:`repro.spn.compiled.CompiledTape.execute_slots`) materializes one
+row per tape slot, so its working set grows with the *length* of the tape
 (``n_slots``) even though only a small band of values is ever live at once.
 
 This module plans the tape's memory the way a register allocator plans
@@ -26,32 +26,23 @@ registers:
   profiles produce (one kernel per level pair means depth ~ dispatch
   count).
 * :func:`execute_plan` executes a planned tape over a row block, reusing a
-  per-thread scratch buffer (``plan.workspace``), and
-  :func:`execute_sharded` splits very large batches into row shards run on
-  a shared thread pool — the NumPy reduction kernels release the GIL, so
-  shards overlap on multicore hosts.
+  per-thread scratch buffer (``plan.workspace``).
 
 Every physical-slot program computes exactly the same elementwise
-operations in exactly the same order as the legacy executor, so planned
-(and sharded) results are **bit-identical** to the legacy ``(n_slots,
-n_rows)`` matrix; :func:`verify_plan` checks that slot by slot and backs
-the ``check=True`` switch of :meth:`CompiledTape.execute_batch`.
-
-The executor knob is :class:`ExecutionOptions` (``mode``:
-``"planned"`` (default) | ``"sharded"`` | ``"legacy"``), accepted — as an
-options object or a bare mode string — by every batched entry point from
-:meth:`CompiledTape.execute_batch` up through
-:class:`repro.api.session.InferenceSession` and the serving layer.
+operations in exactly the same order as the dense executor, so planned
+results are **bit-identical** to the root row of the ``(n_slots, n_rows)``
+slot matrix; the static verifier (:mod:`repro.statics.verifier`) proves a
+plan faithful by symbolic replay.  Each tape owns exactly one plan
+(:meth:`repro.spn.compiled.CompiledTape.memory_plan`), which every batched
+entry point runs.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,10 +50,7 @@ from .graph import StructureError
 from .linearize import OP_ADD, OP_MUL
 
 __all__ = [
-    "EXECUTION_MODES",
     "DEFAULT_FUSE_WIDTH",
-    "ExecutionOptions",
-    "resolve_execution",
     "InputEncoding",
     "PlannedKernel",
     "MemoryPlan",
@@ -70,89 +58,12 @@ __all__ = [
     "plan_to_payload",
     "plan_from_payload",
     "execute_plan",
-    "execute_sharded",
-    "verify_plan",
 ]
-
-#: Modes accepted by every ``execution=`` switch in the repository.
-EXECUTION_MODES = ("planned", "sharded", "legacy")
 
 #: Default cap on the combined width of a fused kernel.  Fusion trades a
 #: strided operand view for a gather copy, which only pays off while the
 #: per-call dispatch overhead dominates the per-element work.
 DEFAULT_FUSE_WIDTH = 128
-
-#: Minimum rows per shard; below this the dispatch overhead of an extra
-#: thread outweighs the overlapped compute.
-DEFAULT_MIN_SHARD_ROWS = 512
-
-
-@dataclass(frozen=True)
-class ExecutionOptions:
-    """How a compiled tape executes a batch.
-
-    ``mode`` selects the executor: ``"planned"`` (default) runs the
-    memory-planned physical-slot program, ``"sharded"`` additionally splits
-    large batches into row shards on a thread pool, ``"legacy"`` keeps the
-    original dense ``(n_slots, n_rows)`` slot matrix.  ``threads`` sizes the
-    shard pool (``0``: one per CPU); ``min_shard_rows`` keeps small batches
-    on one thread.  ``fuse``/``fuse_width`` control the kernel-fusion pass
-    of the planner.  All executors are bit-identical; the knob only chooses
-    memory layout and parallelism.
-    """
-
-    mode: str = "planned"
-    threads: int = 0
-    min_shard_rows: int = DEFAULT_MIN_SHARD_ROWS
-    fuse: bool = True
-    fuse_width: int = DEFAULT_FUSE_WIDTH
-    #: Cross-check planned/sharded execution bit-exactly against the legacy
-    #: slot matrix on a batch prefix (:func:`verify_plan`) on every call.
-    check: bool = False
-
-    def __post_init__(self) -> None:
-        if self.mode not in EXECUTION_MODES:
-            known = ", ".join(repr(m) for m in EXECUTION_MODES)
-            raise ValueError(
-                f"unknown execution mode {self.mode!r}; expected one of {known}"
-            )
-        if self.threads < 0:
-            raise ValueError(f"threads must be >= 0, got {self.threads}")
-        if self.min_shard_rows < 1:
-            raise ValueError(
-                f"min_shard_rows must be >= 1, got {self.min_shard_rows}"
-            )
-
-    @property
-    def n_threads(self) -> int:
-        """Effective shard-pool size (``threads`` or the host's CPU count)."""
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
-
-
-#: The repository-wide default: memory-planned execution, auto-sized pool.
-DEFAULT_EXECUTION = ExecutionOptions()
-
-
-def resolve_execution(
-    execution: Union[ExecutionOptions, str, None],
-) -> ExecutionOptions:
-    """Normalize an ``execution=`` argument to an :class:`ExecutionOptions`.
-
-    Accepts ``None`` (the repository default, planned execution), a bare
-    mode string (``"planned"``/``"sharded"``/``"legacy"``) or an options
-    object, mirroring how ``resolve_engine`` validates engine names.
-    """
-    if execution is None:
-        return DEFAULT_EXECUTION
-    if isinstance(execution, ExecutionOptions):
-        return execution
-    if isinstance(execution, str):
-        return replace(DEFAULT_EXECUTION, mode=execution)
-    raise TypeError(
-        f"execution must be an ExecutionOptions, a mode string or None, "
-        f"got {type(execution).__name__}"
-    )
-
 
 # --------------------------------------------------------------------------- #
 # Planned program representation
@@ -208,8 +119,8 @@ class PlannedKernel:
     const_arg0_log: Optional[np.ndarray] = None
     const_arg1: Optional[np.ndarray] = None
     const_arg1_log: Optional[np.ndarray] = None
-    #: Source tape slots written by this kernel, in dest order (used by
-    #: :func:`verify_plan` to compare against the legacy slot matrix).
+    #: Source tape slots written by this kernel, in dest order (what the
+    #: static verifier replays against the tape).
     source_slots: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -438,7 +349,7 @@ class MemoryPlan:
 
     @property
     def reduction(self) -> float:
-        """Working-set reduction vs the legacy dense slot matrix."""
+        """Working-set reduction vs the dense ``(n_slots, n_rows)`` slot matrix."""
         return self.n_slots / max(self.n_physical, 1)
 
     def peak_bytes(self, n_rows: int) -> int:
@@ -527,7 +438,7 @@ def _as_stride_slice(indices: np.ndarray) -> Optional[slice]:
     Binary-tree reductions produce interleaved operand patterns (stride 2:
     ``[p, p+2, p+4, ...]`` vs ``[p+1, p+3, ...]``), so strided views cover
     the majority of kernels and skip the gather copy entirely.  The single
-    definition of the strided-view test — the legacy executor in
+    definition of the strided-view test — the dense executor in
     :mod:`repro.spn.compiled` imports it as ``_as_slice``.
     """
     if not indices.size:
@@ -566,7 +477,7 @@ def _fusion_groups(tape, fuse: bool, fuse_width: int) -> List[List[int]]:
     levels (each reads only the product side) and roughly halves the
     per-level Python dispatch.  The emitted order is re-verified
     structurally before planning (:func:`plan_memory` raises on any
-    violation) and value-checked by :func:`verify_plan`.
+    violation) and proved faithful by the static verifier.
     """
     if not fuse:
         return [[i] for i in range(len(tape.kernels))]
@@ -636,8 +547,8 @@ def plan_memory(
     physical row via best-fit interval allocation, each kernel's dest block
     staying one contiguous physical interval so the executor keeps its
     slice-store fast path.  Requires a tape with at least one kernel
-    (slot-matrix execution is trivial without one; ``execute_batch`` keeps
-    such tapes on the legacy path).
+    (slot-matrix execution is trivial without one; ``execute_batch``
+    answers such tapes with the dense ``execute_slots``).
     """
     if not tape.kernels:
         raise ValueError("cannot plan an empty tape (no kernels)")
@@ -1221,144 +1132,3 @@ def _operand_block(
     if kernel.const_arg1 is not None:
         return kernel.const_arg1_log if log_domain else kernel.const_arg1
     return block[kernel.arg1_slice if kernel.arg1_slice is not None else kernel.arg1]
-
-
-# Shared shard pools, one per requested size.  ThreadPoolExecutor joins its
-# workers at interpreter exit, so module-level pools need no teardown hook.
-_POOLS: Dict[int, ThreadPoolExecutor] = {}
-_POOLS_LOCK = threading.Lock()
-
-
-def _shard_pool(n_threads: int) -> ThreadPoolExecutor:
-    with _POOLS_LOCK:
-        pool = _POOLS.get(n_threads)
-        if pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=n_threads, thread_name_prefix="tape-shard"
-            )
-            _POOLS[n_threads] = pool
-        return pool
-
-
-def shard_bounds(n_rows: int, n_shards: int) -> List[Tuple[int, int]]:
-    """Split ``n_rows`` into ``n_shards`` near-equal contiguous row ranges."""
-    n_shards = max(1, min(n_shards, n_rows))
-    edges = np.linspace(0, n_rows, n_shards + 1, dtype=np.int64)
-    return [
-        (int(edges[i]), int(edges[i + 1]))
-        for i in range(n_shards)
-        if edges[i + 1] > edges[i]
-    ]
-
-
-def execute_sharded(
-    plan: MemoryPlan,
-    data: np.ndarray,
-    log_domain: bool = False,
-    out: Optional[np.ndarray] = None,
-    options: ExecutionOptions = DEFAULT_EXECUTION,
-    block_rows: Optional[int] = None,
-    profiler=None,
-) -> np.ndarray:
-    """Run a planned tape over row shards on the shared thread pool.
-
-    Each shard executes the planned block loop independently (with its own
-    thread-local scratch buffer) into a disjoint range of ``out``; NumPy's
-    reduction kernels release the GIL, so shards overlap on multicore
-    hosts.  Batches too small to shard (fewer than two
-    ``options.min_shard_rows`` spans) run on the calling thread.
-
-    ``profiler`` is forwarded into the shard closures explicitly — context
-    variables do not cross the pool's thread boundary — and
-    ``TapeProfiler.record`` is thread-safe, so shard samples merge into one
-    aggregate.
-    """
-    n_rows = data.shape[0]
-    if out is None:
-        out = np.empty(n_rows, dtype=np.float64)
-    n_shards = min(options.n_threads, max(1, n_rows // options.min_shard_rows))
-    bounds = shard_bounds(n_rows, n_shards)
-
-    def run_shard(lo: int, hi: int) -> None:
-        _blocked_plan(plan, data[lo:hi], log_domain, out[lo:hi], block_rows, profiler)
-
-    if len(bounds) <= 1:
-        run_shard(0, n_rows)
-        return out
-    pool = _shard_pool(options.n_threads)
-    futures = [pool.submit(run_shard, lo, hi) for lo, hi in bounds]
-    for future in futures:
-        future.result()
-    return out
-
-
-def _blocked_plan(
-    plan: MemoryPlan,
-    data: np.ndarray,
-    log_domain: bool,
-    out: np.ndarray,
-    block_rows: Optional[int],
-    profiler=None,
-) -> None:
-    """Planned execution of one shard, in cache-sized row blocks."""
-    n_rows = data.shape[0]
-    block = block_rows or n_rows
-    if n_rows <= block:
-        execute_plan(plan, data, log_domain=log_domain, out=out, profiler=profiler)
-        return
-    for start in range(0, n_rows, block):
-        stop = min(start + block, n_rows)
-        execute_plan(
-            plan, data[start:stop], log_domain=log_domain, out=out[start:stop],
-            profiler=profiler,
-        )
-
-
-# --------------------------------------------------------------------------- #
-# Verification against the legacy slot matrix
-# --------------------------------------------------------------------------- #
-def verify_plan(
-    tape, plan: MemoryPlan, data: np.ndarray, log_domain: bool = False
-) -> None:
-    """Check a plan slot-by-slot against the legacy dense execution.
-
-    Replays the planned program on ``data`` and, after every kernel,
-    compares each freshly defined physical row **bit-exactly**
-    (``array_equal``, NaN-aware) against the corresponding row of the
-    legacy ``(n_slots, n_rows)`` slot matrix.  This is the ``check=True``
-    path of planned/sharded execution; a mismatch raises
-    :class:`~repro.spn.compiled.EngineMismatchError` naming the first
-    diverging tape slot.
-    """
-    from .compiled import EngineMismatchError
-
-    reference = tape.execute_slots(data, log_domain=log_domain)
-    n_rows = data.shape[0]
-    block = np.empty((plan.n_physical, n_rows), dtype=np.float64)
-    for kernel in plan.kernels:
-        if kernel.encode is not None:
-            _encode_inputs(kernel.encode, block, data, log_domain)
-        a = _operand_block(kernel, block, log_domain, 0)
-        b = _operand_block(kernel, block, log_domain, 1)
-        dest = block[kernel.dest_start : kernel.dest_stop]
-        if log_domain:
-            np.logaddexp(a, b, out=dest) if kernel.op == OP_ADD else np.add(
-                a, b, out=dest
-            )
-        else:
-            np.add(a, b, out=dest) if kernel.op == OP_ADD else np.multiply(
-                a, b, out=dest
-            )
-        for offset, slot in enumerate(kernel.source_slots):
-            got = block[kernel.dest_start + offset]
-            want = reference[int(slot)]
-            if not np.array_equal(got, want, equal_nan=True):
-                raise EngineMismatchError(
-                    f"planned execution diverges from the legacy slot matrix "
-                    f"at tape slot {int(slot)}: {got} vs {want}"
-                )
-    root = block[plan.root_phys]
-    if not np.array_equal(root, reference[tape.root_slot], equal_nan=True):
-        raise EngineMismatchError(
-            "planned execution diverges from the legacy slot matrix at the root"
-        )

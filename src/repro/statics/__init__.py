@@ -9,7 +9,7 @@ which runs a single tape kernel on data:
   def-before-use, independently re-derived liveness vs the allocator's
   intervals, slot interference, root reachability, dead-kernel detection
   and broadcast-constant legality.  Wired as a gate into artifact loading,
-  registry publication and ``ExecutionOptions(check=True)``.
+  registry publication and ``check=True``.
 * :mod:`repro.statics.absint` — abstract interpretation over interval and
   sign domains: proves log-domain outputs ``<= 0`` for normalized tapes,
   tracks ``-inf`` reachability, flags linear-domain underflow risk on

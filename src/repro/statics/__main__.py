@@ -32,7 +32,7 @@ def _verify_one(label: str, tape, plans) -> bool:
     """Verify one tape against each plan; print a one-line verdict."""
     started = time.perf_counter()
     try:
-        tape_facts, _ = verify_compiled(tape, None)  # legacy-mode contract
+        tape_facts, _ = verify_compiled(tape, None)  # dense-executor contract
         for plan in plans:
             verify_compiled(tape, plan)
     except VerificationError as exc:
@@ -66,11 +66,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if not _verify_one(label, artifact.tape, [artifact.plan]):
                 failures += 1
     else:
+        from ..spn.memplan import plan_memory
         from ..suite.registry import benchmark_names, benchmark_tape
 
         for name in benchmark_names():
             tape = benchmark_tape(name)
-            plans = [tape.memory_plan(fuse=True), tape.memory_plan(fuse=False)]
+            plans = [tape.memory_plan(), plan_memory(tape, fuse=False)]
             if not _verify_one(name, tape, plans):
                 failures += 1
     if failures:

@@ -41,7 +41,7 @@ def _copy_pair(tape: CompiledTape, plan: MemoryPlan) -> Tuple[CompiledTape, Memo
 
     The round-trip is the only sanctioned deep copy: both IR classes hold
     non-copyable runtime state (plan scratch ``threading.local``, the
-    tape's plan cache lock), and payloads are bit-exact by design.
+    tape's plan lock), and payloads are bit-exact by design.
     """
     return (
         tape_from_payload(tape_to_payload(tape)),

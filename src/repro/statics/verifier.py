@@ -1,15 +1,14 @@
 """Static dataflow verification of the compiled tape IR and its memory plan.
 
-The runtime already has a *dynamic* safety net — :func:`repro.spn.memplan.
-verify_plan` replays a batch prefix through the planned program and compares
-every slot against the legacy dense matrix — but a replay only certifies the
-rows it ran.  This module is the static counterpart: it proves, **without
-executing anything**, that a :class:`~repro.spn.compiled.CompiledTape` is a
-well-formed levelized program and that a :class:`~repro.spn.memplan.
-MemoryPlan` is a faithful register allocation of it.  Together the two form
-the trust contract a native codegen backend needs (ROADMAP item 1): the
-static verifier certifies *every* batch the program could ever run, the
-replay cross-checks concrete values on one.
+The runtime already has a *dynamic* safety net — ``check=True`` compares a
+batch prefix against the python reference walk — but a value check only
+certifies the rows it ran.  This module is the static counterpart: it
+proves, **without executing anything**, that a
+:class:`~repro.spn.compiled.CompiledTape` is a well-formed levelized program
+and that a :class:`~repro.spn.memplan.MemoryPlan` is a faithful register
+allocation of it.  Together the two form the trust contract a native
+codegen backend needs: the static verifier certifies *every* batch the
+program could ever run, the cross-check compares concrete values on one.
 
 What is checked (rule names appear in every error message):
 
@@ -1212,8 +1211,9 @@ def verify_memory_plan(tape, plan) -> PlanFacts:
 def verify_compiled(tape, plan=None) -> Tuple[TapeFacts, Optional[PlanFacts]]:
     """Verify a tape and (when given) its memory plan in one call.
 
-    ``plan=None`` verifies the tape alone — the legacy execution mode runs
-    straight off the tape, so that is exactly its static contract.
+    ``plan=None`` verifies the tape alone — the dense reference executor
+    (``execute_slots``) and kernel-less tapes run straight off the tape, so
+    that is exactly their static contract.
     """
     tape_facts = verify_tape(tape)
     plan_facts = verify_memory_plan(tape, plan) if plan is not None else None

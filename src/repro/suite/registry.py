@@ -218,27 +218,24 @@ def benchmark_artifact(name: str, version: str = "0"):
     )
 
 
-def benchmark_session(name: str, engine: str = "vectorized", execution=None):
+def benchmark_session(name: str, engine: str = "vectorized"):
     """A shared :class:`~repro.api.session.InferenceSession` for a benchmark.
 
     The typed-query front door for suite models: every caller asking for the
-    same ``(name, engine, execution)`` gets one session, so its caches
-    (pinned tape, partition function, operation list) are shared.
-    ``execution`` selects the tape executor
-    (:class:`~repro.spn.memplan.ExecutionOptions` or a mode string;
-    ``None`` is the planned default).  Experiments and the scalar wrappers
-    route through this.
+    same ``(name, engine)`` gets one session, so its caches (pinned tape,
+    partition function, operation list) are shared.  Experiments and the
+    scalar wrappers route through this.  The arguments are normalized before
+    the cache lookup, so ``benchmark_session("Banknote")`` and
+    ``benchmark_session("Banknote", "vectorized")`` share one entry.
     """
-    from ..spn.memplan import resolve_execution
-
-    return _benchmark_session(name, engine, resolve_execution(execution))
+    return _benchmark_session(name, engine)
 
 
 @lru_cache(maxsize=None)
-def _benchmark_session(name: str, engine: str, execution):
+def _benchmark_session(name: str, engine: str):
     from ..api.session import InferenceSession
 
-    return InferenceSession(name, engine=engine, execution=execution)
+    return InferenceSession(name, engine=engine)
 
 
 def benchmark_evaluate_batch(
@@ -247,7 +244,6 @@ def benchmark_evaluate_batch(
     engine: str = "vectorized",
     check: bool = False,
     log_domain: bool = False,
-    execution=None,
 ) -> np.ndarray:
     """Evaluate a suite benchmark on an evidence batch with the chosen engine.
 
@@ -255,21 +251,21 @@ def benchmark_evaluate_batch(
     The vectorized engine (default) reuses the cached compiled tape;
     ``engine="python"`` falls back to the per-node reference walk of
     :func:`repro.spn.evaluate.evaluate_batch` (linear domain) or its per-row
-    log counterpart.  ``check=True`` cross-checks the vectorized result
-    against the reference on a prefix of the batch; ``execution`` selects
-    the tape executor (planned default, sharded, legacy — bit-identical).
+    log counterpart.  ``check=True`` statically verifies the tape and its
+    memory plan, then cross-checks the vectorized result against the
+    reference on a prefix of the batch.
 
     Performance note: the tape is orders of magnitude faster than the
     row-by-row operation-list executor and several times faster than the
-    per-node walk — since the memory-planned executor became the default
-    that holds through multi-thousand-row batches too (the planned working
-    set stays cache-resident where the dense slot matrix spilled); both
-    engines are always available.
+    per-node walk, through multi-thousand-row batches too (the memory
+    plan's working set stays cache-resident where a dense slot matrix
+    spills); both engines are always available.
     """
     if resolve_engine(engine) == "vectorized":
-        result = benchmark_tape(name).execute_batch(
-            np.asarray(data), log_domain=log_domain, execution=execution
-        )
+        tape = benchmark_tape(name)
+        if check:
+            tape.verify_static()
+        result = tape.execute_batch(np.asarray(data), log_domain=log_domain)
         if check:
             cross_check(
                 result,

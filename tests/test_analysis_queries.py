@@ -11,8 +11,8 @@ get ``atol=1e-9`` (legitimately tiny values), and *normalized* mutual
 information — a ratio of two tiny sums — gets ``atol=1e-6``.
 
 Alongside the oracle properties: the seeded-determinism contract of
-``Sample`` (identical draws across planned/sharded/legacy execution and
-across serving micro-batch composition), plan-shape guarantees (fixed
+``Sample`` (identical draws across repeat runs, single-row resubmission
+and serving micro-batch composition), plan-shape guarantees (fixed
 pass counts verified against the session's evaluation hook), serialization
 round-trips, serving bit-identity, construction-time validation, and the
 zero-probability ``nan`` convention.
@@ -39,7 +39,6 @@ from repro.serving import BatchingPolicy, InferenceClient, InferenceServer
 from repro.spn.evaluate import MARGINALIZED
 from repro.spn.generate import generate_rat_spn, random_evidence
 from repro.spn.graph import SPN
-from repro.spn.memplan import ExecutionOptions
 from repro.suite.registry import build_benchmark
 from oracle import BruteForceOracle
 from strategies import small_rat_configs
@@ -48,9 +47,6 @@ _SETTINGS = settings(max_examples=25, deadline=None)
 
 BENCHMARK = "Banknote"
 N_VARS = 4
-
-#: Sharding forced on even for tiny batches (mirrors test_memplan).
-FORCED_SHARDS = ExecutionOptions(mode="sharded", threads=2, min_shard_rows=1)
 
 
 def _rows(config, seed, n_rows=4, observed=0.5):
@@ -246,15 +242,6 @@ class TestSampleDeterminism:
             N_VARS, observed_fraction=0.5, seed=21, n_samples=6
         )
         return Sample(evidence=evidence, n_samples=3, seed=11)
-
-    def test_identical_across_execution_modes(self, spn, query):
-        # Draws depend only on (seed, row_id, variable) — the execution
-        # mode (planned / sharded / legacy slots) cannot perturb them.
-        planned = InferenceSession(spn, execution="planned").run(query)
-        sharded = InferenceSession(spn, execution=FORCED_SHARDS).run(query)
-        legacy = InferenceSession(spn, execution="legacy").run(query)
-        assert np.array_equal(planned, sharded)
-        assert np.array_equal(planned, legacy)
 
     def test_identical_across_repeat_runs(self, spn, query):
         session = InferenceSession(spn)

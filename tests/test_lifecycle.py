@@ -3,9 +3,9 @@
 Four suites gated by the golden-replay harness (``tests/golden.py``):
 
 * **Artifact round-trip** — save → load → execute is bit-identical
-  (``array_equal``) to the freshly compiled model on every suite profile,
-  every execution mode, and every one of the ten query kinds; loading
-  performs no compilation (the shipped tape and plan are adopted).
+  (``array_equal``) to the freshly compiled model on every suite profile
+  and every one of the ten query kinds; loading performs no compilation
+  or planning (the shipped tape and plan are adopted and run).
 * **Corruption** — table-driven malformed documents: every mode raises the
   typed :class:`~repro.lifecycle.artifact.ArtifactFormatError` /
   :class:`~repro.lifecycle.artifact.ArtifactIntegrityError`, never a bare
@@ -63,8 +63,6 @@ from golden import all_kinds_queries, assert_replays_identical, replay_queries
 
 pytestmark = pytest.mark.lifecycle
 
-EXECUTION_MODES = ("planned", "sharded", "legacy")
-
 
 def _small_spn(seed: int = 7, n_vars: int = 6):
     return generate_spn(GeneratorConfig(n_vars=n_vars, n_values=2, seed=seed))
@@ -93,34 +91,61 @@ def _rehashed(doc: dict) -> dict:
 
 
 # --------------------------------------------------------------------- #
-# Artifact round-trip: bit-identity across profiles, modes, query kinds
+# Artifact round-trip: bit-identity across profiles and query kinds
 # --------------------------------------------------------------------- #
 class TestArtifactRoundTrip:
     @pytest.mark.parametrize("name", benchmark_names())
     def test_cold_start_bit_identical_all_modes_all_kinds(self, name, tmp_path):
-        """The acceptance matrix: nine profiles x three modes x ten kinds."""
+        """The acceptance matrix: nine profiles x ten kinds."""
         artifact = benchmark_artifact(name)
         loaded = load_artifact(save_artifact(artifact, tmp_path / "model.json"))
         assert loaded.content_hash == artifact.content_hash
         queries = all_kinds_queries(artifact.n_vars)
-        for mode in EXECUTION_MODES:
-            fresh = InferenceSession(build_benchmark(name), execution=mode)
-            cold = loaded.session(execution=mode)
-            assert_replays_identical(
-                replay_queries(cold, queries), replay_queries(fresh, queries)
-            )
+        fresh = InferenceSession(build_benchmark(name))
+        assert_replays_identical(
+            replay_queries(loaded.session(), queries), replay_queries(fresh, queries)
+        )
 
     def test_loaded_artifact_adopts_tape_and_plan(self, tmp_path):
         """Cold start must not compile: the session's tape IS the shipped
-        tape, and its plan cache already holds the shipped plan."""
+        tape, and its one plan IS the shipped plan."""
         artifact = build_artifact(_small_spn(), name="m")
         loaded = load_artifact(save_artifact(artifact, tmp_path / "m.json"))
         session = loaded.session()
         assert session.tape is loaded.tape
-        assert (
-            loaded.tape.memory_plan(fuse=loaded.fuse, fuse_width=loaded.fuse_width)
-            is loaded.plan
-        )
+        assert loaded.tape.memory_plan() is loaded.plan
+
+    @pytest.mark.parametrize("options", [{"fuse": False}, {"fuse_width": 64}])
+    def test_non_default_fusion_runs_the_shipped_plan(
+        self, options, tmp_path, monkeypatch
+    ):
+        """Regression: an artifact planned with non-default fusion settings
+        runs the plan it shipped (and that load verified) — serving a query
+        after load plans nothing."""
+        import repro.spn.compiled as compiled
+        from repro.api import LogLikelihood
+        from repro.spn.memplan import MemoryPlan
+
+        artifact = build_artifact(_small_spn(), name="m", **options)
+        loaded = load_artifact(save_artifact(artifact, tmp_path / "m.json"))
+        planned, executed = [], []
+        plan_memory, workspace = compiled.plan_memory, MemoryPlan.workspace
+
+        def counting_plan_memory(*args, **kwargs):
+            planned.append(args)
+            return plan_memory(*args, **kwargs)
+
+        def recording_workspace(plan, n_rows):
+            executed.append(plan)
+            return workspace(plan, n_rows)
+
+        monkeypatch.setattr(compiled, "plan_memory", counting_plan_memory)
+        monkeypatch.setattr(MemoryPlan, "workspace", recording_workspace)
+        evidence = golden_evidence(loaded.n_vars)
+        loaded.session().run(LogLikelihood(evidence=evidence))
+        assert planned == []
+        assert executed and all(plan is loaded.plan for plan in executed)
+        assert loaded.tape.memory_plan() is loaded.plan
 
     def test_hash_stable_across_rewrites(self, tmp_path):
         artifact = build_artifact(_small_spn(), name="m")

@@ -1,41 +1,35 @@
-"""Tests for the tape memory planner and the planned/sharded executors.
+"""Tests for the tape memory planner and the planned executor.
 
 Covers the planner's structural guarantees (liveness peak, physical-buffer
 bound, broadcast constants, kernel fusion, allocation validity on
-hand-built tapes), the execution knob plumbing (``ExecutionOptions``
-resolution, ``QueryPlan`` peak-slot stats, per-execution session caches,
-serving), and — via hypothesis — the repository-wide bit-identity
-guarantee: planned, sharded and legacy execution agree exactly
-(``array_equal``) across all nine suite profiles, both domains and all
-ten typed query kinds (the analysis kinds — sample, expectation, entropy,
-mutual information, classify — included).
+hand-built tapes), one shared plan per tape under concurrent first use,
+``QueryPlan`` peak-slot stats and serving, and — via hypothesis — the
+bit-identity guarantee: every suite profile's plan computes exactly
+(``array_equal``) the root row of the dense reference slot matrix
+(``execute_slots``) in both domains.
 """
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import InferenceSession, Likelihood, LogLikelihood, session_for
-from strategies import ALL_KINDS, make_query
-from repro.spn.compiled import CompiledTape, EngineMismatchError, compile_tape
+from repro.api import InferenceSession, Likelihood, LogLikelihood
+from repro.spn.compiled import CompiledTape, compile_tape
 from repro.spn.generate import random_evidence
 from repro.spn.linearize import OP_ADD, OP_MUL, InputSlot, Operation, OperationList
-from repro.spn.memplan import (
-    DEFAULT_EXECUTION,
-    EXECUTION_MODES,
-    ExecutionOptions,
-    plan_memory,
-    resolve_execution,
-    shard_bounds,
-    verify_plan,
+from repro.spn.memplan import execute_plan, plan_memory
+from repro.suite.registry import (
+    benchmark_n_vars,
+    benchmark_names,
+    benchmark_operation_list,
+    benchmark_tape,
 )
-from repro.suite.registry import benchmark_n_vars, benchmark_names, benchmark_tape
 
 _SETTINGS = settings(max_examples=20, deadline=None)
-
-#: Sharding forced on even for tiny batches, so the property suite actually
-#: exercises the thread-pool path.
-FORCED_SHARDS = ExecutionOptions(mode="sharded", threads=2, min_shard_rows=1)
 
 
 # --------------------------------------------------------------------------- #
@@ -116,14 +110,14 @@ def tape_batch(tape: CompiledTape, n_rows: int = 16, seed: int = 0) -> np.ndarra
 class TestLiveness:
     def test_chain_max_live_is_exact(self):
         # k0: {x0, x1} + s4 -> 3; k1: {s4, x2} + s5 -> 3; k2: {s5, x3} + s6 -> 3.
-        plan = chain_tape().memory_plan(fuse=False)
+        plan = plan_memory(chain_tape(), fuse=False)
         assert plan.max_live == 3
         assert plan.n_physical == plan.max_live  # no fragmentation on a chain
         assert plan.max_live <= plan.n_slots
 
     def test_balanced_max_live_is_exact(self):
         # k0: {x0..x3} + {s4, s5} -> 6; k1: {s4, s5} + s6 -> 3.
-        plan = balanced_tape().memory_plan(fuse=False)
+        plan = plan_memory(balanced_tape(), fuse=False)
         assert plan.max_live == 6
         assert plan.n_physical == 6
         assert plan.max_live <= plan.n_slots
@@ -131,7 +125,7 @@ class TestLiveness:
     def test_weighted_tape_broadcasts_constants(self):
         # The weight lanes w2/w3 never materialize: k0 keeps {x0, x1} plus
         # its two dests -> 4; k1: {s4, s5} + s6 -> 3.
-        plan = weighted_tape().memory_plan(fuse=False)
+        plan = plan_memory(weighted_tape(), fuse=False)
         assert plan.max_live == 4
         mul = plan.kernels[0]
         assert mul.const_arg0 is not None and mul.const_arg0.shape == (2, 1)
@@ -158,28 +152,26 @@ class TestLiveness:
     def test_kernelless_tape_executes_via_legacy_fallback(self):
         tape = compile_tape(ops_list([indicator(0, 0)], [], root=0))
         data = np.array([[1], [0], [-1]])
-        out = tape.execute_batch(data)  # planned default falls back
+        out = tape.execute_batch(data)  # no plan: the dense slot matrix
         assert np.array_equal(out, [1.0, 0.0, 1.0])
 
 
 class TestFusion:
     def test_independent_adds_fuse(self):
         tape = fusable_tape()
-        fused = tape.memory_plan(fuse=True)
-        unfused = tape.memory_plan(fuse=False)
+        fused = plan_memory(tape, fuse=True)
+        unfused = plan_memory(tape, fuse=False)
         assert unfused.n_kernels == 4
         assert fused.n_kernels == 3  # the two add kernels merged
         data = tape_batch(tape)
-        legacy = tape.execute_batch(data, execution="legacy")
-        for plan_mode in (
-            ExecutionOptions(fuse=True),
-            ExecutionOptions(fuse=False),
-        ):
-            assert np.array_equal(tape.execute_batch(data, execution=plan_mode), legacy)
+        for log_domain in (False, True):
+            dense = tape.execute_slots(data, log_domain)[tape.root_slot]
+            for plan in (fused, unfused):
+                assert np.array_equal(execute_plan(plan, data, log_domain), dense)
 
     def test_fuse_width_caps_groups(self):
         tape = fusable_tape()
-        capped = tape.memory_plan(fuse=True, fuse_width=1)
+        capped = plan_memory(tape, fuse=True, fuse_width=1)
         assert capped.n_kernels == 4  # nothing fits a combined width of 1
 
     def test_suite_tapes_are_already_maximally_fused(self):
@@ -188,7 +180,7 @@ class TestFusion:
         # fusion finds nothing to merge on the suite profiles.  This
         # documents that the (level, opcode) grouping is already maximal.
         tape = benchmark_tape("KDDCup2k")
-        assert tape.memory_plan(fuse=True).n_kernels == len(tape.kernels)
+        assert tape.memory_plan().n_kernels == len(tape.kernels)
 
 
 class TestExecutors:
@@ -197,46 +189,37 @@ class TestExecutors:
     def test_hand_built_bit_identity(self, build, log_domain):
         tape = build()
         data = tape_batch(tape, n_rows=33)
-        legacy = tape.execute_batch(data, log_domain=log_domain, execution="legacy")
-        planned = tape.execute_batch(data, log_domain=log_domain)
-        sharded = tape.execute_batch(data, log_domain=log_domain, execution=FORCED_SHARDS)
-        assert np.array_equal(planned, legacy, equal_nan=True)
-        assert np.array_equal(sharded, legacy, equal_nan=True)
-
-    def test_verify_plan_accepts_correct_plans(self):
-        tape = benchmark_tape("Banknote")
-        data = random_evidence(benchmark_n_vars("Banknote"), observed_fraction=0.5, seed=1, n_samples=8)
-        for log_domain in (False, True):
-            verify_plan(tape, tape.memory_plan(), data, log_domain=log_domain)
-
-    def test_verify_plan_rejects_corrupted_plans(self):
-        tape = weighted_tape()
-        plan = plan_memory(tape)
-        bad = plan.kernels[0].const_arg0.copy()
-        bad[0, 0] += 0.125  # corrupt one weight
-        object.__setattr__(plan.kernels[0], "const_arg0", bad)
-        with pytest.raises(EngineMismatchError):
-            verify_plan(tape, plan, tape_batch(tape, n_rows=4))
-
-    def test_check_option_runs_on_execute(self):
-        tape = benchmark_tape("Banknote")
-        data = random_evidence(benchmark_n_vars("Banknote"), observed_fraction=0.5, seed=2, n_samples=12)
-        checked = ExecutionOptions(check=True)
-        assert np.array_equal(
-            tape.execute_batch(data, execution=checked),
-            tape.execute_batch(data, execution="legacy"),
-        )
+        dense = tape.execute_slots(data, log_domain)[tape.root_slot]
+        for plan in (plan_memory(tape, fuse=True), plan_memory(tape, fuse=False)):
+            planned = execute_plan(plan, data, log_domain)
+            assert np.array_equal(planned, dense, equal_nan=True)
+        if not log_domain:
+            assert np.array_equal(tape.execute_batch(data), dense)
 
     def test_root_written_directly_into_out(self):
         for name in benchmark_names():
             assert benchmark_tape(name).memory_plan().root_direct
 
-    def test_shard_bounds_cover_rows_exactly(self):
-        for n_rows, n_shards in ((1, 4), (7, 3), (100, 4), (5, 5), (6, 1)):
-            bounds = shard_bounds(n_rows, n_shards)
-            assert bounds[0][0] == 0 and bounds[-1][1] == n_rows
-            for (a, b), (c, d) in zip(bounds, bounds[1:]):
-                assert b == c and a < b and c < d
+    def test_concurrent_first_calls_share_one_plan(self):
+        # Serving workers prewarm one tape concurrently: every first call
+        # must get the same plan (and so the same per-thread scratch).
+        tape = compile_tape(benchmark_operation_list("KDDCup2k"))
+        n_threads = 8
+        start = threading.Barrier(n_threads, timeout=30)
+
+        def first_call(_):
+            start.wait()
+            return tape.memory_plan()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=n_threads) as pool:
+                plans = list(pool.map(first_call, range(n_threads), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(plans) == n_threads
+        assert all(plan is plans[0] for plan in plans)
 
     def test_workspace_is_reused_per_thread(self):
         tape = benchmark_tape("Banknote")
@@ -245,30 +228,6 @@ class TestExecutors:
         first = plan.workspace(64)
         second = plan.workspace(32)
         assert second.base is first or second.base is first.base
-
-
-class TestExecutionOptions:
-    def test_modes(self):
-        assert EXECUTION_MODES == ("planned", "sharded", "legacy")
-        for mode in EXECUTION_MODES:
-            assert resolve_execution(mode).mode == mode
-
-    def test_defaults(self):
-        assert resolve_execution(None) is DEFAULT_EXECUTION
-        options = ExecutionOptions(mode="sharded", threads=3)
-        assert resolve_execution(options) is options
-        assert options.n_threads == 3
-        assert ExecutionOptions(threads=0).n_threads >= 1
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError, match="unknown execution mode"):
-            ExecutionOptions(mode="turbo")
-        with pytest.raises(ValueError, match="threads"):
-            ExecutionOptions(threads=-1)
-        with pytest.raises(ValueError, match="min_shard_rows"):
-            ExecutionOptions(min_shard_rows=0)
-        with pytest.raises(TypeError, match="execution must be"):
-            resolve_execution(3)
 
 
 class TestSessionIntegration:
@@ -281,31 +240,11 @@ class TestSessionIntegration:
         assert 0 < plan.peak_slots < plan.tape_slots
         assert plan.peak_bytes_per_row == plan.peak_slots * 8
 
-    def test_legacy_session_reports_dense_working_set(self):
-        session = InferenceSession("CPU", execution="legacy")
-        query = Likelihood(evidence=np.zeros((1, benchmark_n_vars("CPU")), dtype=np.int64))
-        plan = session.plan(query)
-        assert plan.peak_slots == plan.tape_slots > 0
-
     def test_python_engine_has_no_tape_stats(self):
         session = InferenceSession("Banknote", engine="python")
         query = Likelihood(evidence=np.zeros((1, 4), dtype=np.int64))
         plan = session.plan(query)
         assert plan.tape_slots == 0 and plan.peak_slots == 0
-
-    def test_session_for_is_keyed_per_execution(self):
-        from repro.spn.generate import RatSpnConfig, generate_rat_spn
-
-        spn = generate_rat_spn(RatSpnConfig(n_vars=6, depth=6, seed=3))
-        default = session_for(spn)
-        legacy = session_for(spn, execution="legacy")
-        assert default is not legacy
-        assert default is session_for(spn)
-        data = random_evidence(6, observed_fraction=0.5, seed=4, n_samples=9)
-        assert np.array_equal(
-            default.run(LogLikelihood(evidence=data)),
-            legacy.run(LogLikelihood(evidence=data)),
-        )
 
     def test_serving_modes_are_bit_identical(self):
         from repro.serving import InferenceServer
@@ -313,31 +252,26 @@ class TestSessionIntegration:
         name = "Banknote"
         data = random_evidence(benchmark_n_vars(name), observed_fraction=0.5, seed=5, n_samples=24)
         offline = InferenceSession(name).run(LogLikelihood(evidence=data))
-        for execution in (None, "legacy", FORCED_SHARDS):
-            with InferenceServer(models=[name], execution=execution) as server:
-                served = server.query(name, data, kind="log_likelihood")
-            assert np.array_equal(served, offline)
+        with InferenceServer(models=[name]) as server:
+            served = server.query(name, data, kind="log_likelihood")
+        assert np.array_equal(served, offline)
 
 
 # --------------------------------------------------------------------------- #
-# Hypothesis: planned == sharded == legacy on every profile, domain and kind
+# Hypothesis: the plan == the dense reference on every profile and domain
 # --------------------------------------------------------------------------- #
 @given(
     name=st.sampled_from(benchmark_names()),
-    kind=st.sampled_from(ALL_KINDS),
+    log_domain=st.booleans(),
     seed=st.integers(0, 2**16),
-    n_rows=st.integers(1, 5),
+    n_rows=st.integers(1, 33),
 )
 @_SETTINGS
-def test_execution_modes_bit_identical_across_suite(name, kind, seed, n_rows):
-    rng = np.random.default_rng(seed)
-    query = make_query(kind, benchmark_n_vars(name), rng, n_rows)
-    results = [
-        InferenceSession(name, execution=execution).run(query)
-        for execution in (None, FORCED_SHARDS, "legacy")
-    ]
-    if kind == "mpe":
-        assert results[0] == results[1] == results[2]
-    else:
-        for other in results[1:]:
-            assert np.array_equal(results[0], other, equal_nan=True)
+def test_plan_bit_identical_to_dense_reference(name, log_domain, seed, n_rows):
+    tape = benchmark_tape(name)
+    data = random_evidence(
+        benchmark_n_vars(name), observed_fraction=0.5, seed=seed, n_samples=n_rows
+    )
+    planned = execute_plan(tape.memory_plan(), data, log_domain)
+    dense = tape.execute_slots(data, log_domain)[tape.root_slot]
+    assert np.array_equal(planned, dense, equal_nan=True)

@@ -31,7 +31,6 @@ from repro.observability import (
 from repro.observability.__main__ import main as obs_main
 from repro.serving import BatchingPolicy, InferenceClient, InferenceServer
 from repro.spn.generate import random_evidence
-from repro.spn.memplan import ExecutionOptions
 from repro.suite.registry import benchmark_n_vars, benchmark_tape
 
 BENCHMARK = "Banknote"
@@ -232,16 +231,11 @@ class TestTracer:
 # Per-kernel profiler
 # --------------------------------------------------------------------------- #
 class TestTapeProfiler:
-    @pytest.mark.parametrize("execution", ["planned", "sharded", "legacy"])
-    def test_profiled_execution_is_bit_identical(self, tape, evidence, execution):
-        options = (
-            ExecutionOptions(mode="sharded", threads=2, min_shard_rows=1)
-            if execution == "sharded"
-            else execution
-        )
-        reference = tape.execute_batch(evidence, execution=options)
+    @pytest.mark.parametrize("log_domain", [False, True], ids=["planned", "planned-log"])
+    def test_profiled_execution_is_bit_identical(self, tape, evidence, log_domain):
+        reference = tape.execute_batch(evidence, log_domain=log_domain)
         with TapeProfiler() as profiler:
-            profiled = tape.execute_batch(evidence, execution=options)
+            profiled = tape.execute_batch(evidence, log_domain=log_domain)
         assert np.array_equal(profiled, reference)
         assert profiler.total_elapsed_s > 0.0
         assert profiler.total_bytes > 0

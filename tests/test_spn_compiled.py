@@ -26,7 +26,6 @@ from repro.spn.evaluate import (
 from repro.spn.generate import generate_rat_spn, random_evidence
 from repro.spn.graph import SPN
 from repro.spn.linearize import OP_MUL, InputSlot, linearize
-from repro.spn.memplan import ExecutionOptions
 from strategies import wide_rat_configs as rat_configs
 
 _SETTINGS = settings(max_examples=25, deadline=None)
@@ -275,9 +274,7 @@ def constant_tape(prob: float, other: float = 0.5) -> CompiledTape:
 class TestLogPassViaLinear:
     """A log pass answers each row with ``log`` of its linear root when that
     root is at or above the tape's proved floor, and with the exact log
-    kernels otherwise — row by row, identically in every mode."""
-
-    FORCED_SHARDS = ExecutionOptions(mode="sharded", threads=2, min_shard_rows=1)
+    kernels otherwise — row by row, whatever batch the row arrives in."""
 
     def split(self, tape, data):
         linear = tape.execute_batch(data)
@@ -305,14 +302,9 @@ class TestLogPassViaLinear:
     def test_row_answer_independent_of_batch_and_mode(self):
         tape = compile_tape(two_branch_spn())
         reference = tape.execute_batch(MIXED_ROWS, log_domain=True)
-        for execution in (None, self.FORCED_SHARDS, "legacy"):
-            batch = tape.execute_batch(MIXED_ROWS, log_domain=True, execution=execution)
-            assert np.array_equal(batch, reference)
-            for row in range(len(MIXED_ROWS)):
-                alone = tape.execute_batch(
-                    MIXED_ROWS[row : row + 1], log_domain=True, execution=execution
-                )
-                assert np.array_equal(alone, reference[row : row + 1])
+        for row in range(len(MIXED_ROWS)):
+            alone = tape.execute_batch(MIXED_ROWS[row : row + 1], log_domain=True)
+            assert np.array_equal(alone, reference[row : row + 1])
 
     def test_served_micro_batches_match_offline(self):
         from repro.api import InferenceSession, LogLikelihood

@@ -2,10 +2,9 @@
 
 The acceptance contract this file enforces:
 
-* **Zero false positives** — every suite profile verifies clean for all
-  three execution modes (planned / sharded share one plan; legacy is the
-  tape-only contract), for fused and unfused plans, and for random RAT-SPN
-  tapes drawn by Hypothesis.
+* **Zero false positives** — every suite profile verifies clean, the tape
+  alone (the dense executor's contract) and with fused and unfused plans,
+  and so do random RAT-SPN tapes drawn by Hypothesis.
 * **100% detection** — every mutator in the seeded corpus
   (:mod:`repro.statics.mutate`) produces IR the verifier rejects, on every
   suite profile, for randomized mutation sites.
@@ -28,8 +27,9 @@ from repro.lifecycle.artifact import build_artifact, save_artifact
 from repro.lifecycle.registry import ModelRegistry
 from repro.spn.compiled import CompiledTape, TapeKernel, cached_tape
 from repro.spn.generate import GeneratorConfig, generate_rat_spn, generate_spn
+from repro.spn.evaluate import evaluate_batch
 from repro.spn.linearize import OP_MUL, InputSlot
-from repro.spn.memplan import ExecutionOptions
+from repro.spn.memplan import plan_memory
 from repro.statics import (
     LOG_TINY,
     MUTATORS,
@@ -58,15 +58,14 @@ _REPRO_ROOT = Path(repro.__file__).parent
 class TestCleanVerification:
     @pytest.mark.parametrize("name", benchmark_names())
     def test_suite_profiles_verify_clean_all_modes(self, name):
-        """Planned/sharded (fused + unfused plans) and legacy (tape-only)
-        all verify with no findings — the zero-false-positive half of the
-        acceptance criteria."""
+        """The tape alone (the dense executor) and the tape with fused and
+        unfused plans all verify with no findings — the zero-false-positive
+        half of the acceptance criteria."""
         tape = benchmark_tape(name)
-        tape_facts, _ = verify_compiled(tape, None)  # legacy: no plan
+        tape_facts, _ = verify_compiled(tape, None)  # the tape alone
         assert tape_facts.n_kernels == tape.n_kernels
         assert tape_facts.n_dead_slots == 0
-        for fuse in (True, False):
-            plan = tape.memory_plan(fuse=fuse)
+        for plan in (tape.memory_plan(), plan_memory(tape, fuse=False)):
             _, plan_facts = verify_compiled(tape, plan)
             assert plan_facts.n_physical == plan.n_physical
             assert plan_facts.fusion >= 1.0
@@ -135,17 +134,17 @@ class TestMutationDetection:
 # --------------------------------------------------------------------- #
 class TestGates:
     def test_check_mode_runs_static_verification(self):
-        """``ExecutionOptions(check=True)`` statically verifies the plan
-        before the value replay — a corrupted cached plan is rejected even
-        though its replayed values on the prefix rows might agree."""
-        tape = cached_tape(generate_spn(GeneratorConfig(n_vars=5, seed=3)))
-        plan = tape.memory_plan()
+        """``check=True`` statically verifies the tape's plan before the
+        value cross-check — a corrupted plan is rejected even though its
+        values on the prefix rows might agree."""
+        spn = generate_spn(GeneratorConfig(n_vars=5, seed=3))
+        plan = cached_tape(spn).memory_plan()
         plan.max_live -= 1  # liveness understated: values still correct
         data = np.full((4, 5), -1, dtype=np.int64)
         with pytest.raises(VerificationError):
-            tape.execute_batch(data, execution=ExecutionOptions(check=True))
+            evaluate_batch(spn, data, engine="vectorized", check=True)
         plan.max_live += 1
-        tape.execute_batch(data, execution=ExecutionOptions(check=True))
+        evaluate_batch(spn, data, engine="vectorized", check=True)
         assert getattr(plan, "_statics_verified", False)
 
     def test_publish_gate_rejects_corrupt_artifact(self):
