@@ -3,10 +3,11 @@
 Instrumented sites follow the same zero-overhead-when-off discipline as
 the per-kernel profiler (:mod:`repro.observability.profile`): they resolve
 :func:`active_plan` **once per batch/call** — a single module-attribute
-read — and take the original, uninstrumented code path when it returns
-``None``.  Fault checks, visit counting and seeded draws happen only while
-a plan is installed; ``benchmarks/test_bench_resilience.py`` gates the
-hooks-disabled serving overhead at <= 1.02.
+read — and skip every fault check with one ``if plan is not None`` test
+when it returns ``None``.  Fault checks, visit counting and seeded draws
+happen only while a plan is installed;
+``benchmarks/test_bench_resilience.py`` gates the hooks-disabled serving
+overhead at <= 1.02.
 
 Installation is process-wide and deliberately *not* per-thread (a
 contextvar would not reach serving worker threads, which are spawned
@@ -30,7 +31,7 @@ _PLAN: Optional[FaultPlan] = None
 
 
 def active_plan() -> Optional[FaultPlan]:
-    """The installed :class:`FaultPlan`, or ``None`` (the fast path)."""
+    """The installed :class:`FaultPlan`, or ``None`` (injection off)."""
     return _PLAN
 
 

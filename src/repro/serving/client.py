@@ -30,6 +30,12 @@ wait.  All three are opt-in; an unconfigured client behaves exactly as
 before.  Retries count ``serving_retries_total`` and breaker transitions
 set the ``serving_breaker_state`` gauge, both on the server's metrics
 registry.
+
+The two clients share one request path.  Every verb is written once, on a
+base class; every retry, budget, breaker and deadline decision is made by
+one sans-I/O :class:`~repro.serving.resilience.CallPolicy` per logical
+request; each client keeps only the loop that waits (``Future.result`` and
+``time.sleep``, or ``wrap_future`` and ``asyncio.sleep``).
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -58,13 +64,13 @@ from ..observability import metrics_enabled
 from .queue import BatchingPolicy
 from .resilience import (
     BREAKER_STATES,
+    RESULT_GRACE_S,
     BreakerPolicy,
+    CallPolicy,
     CircuitBreaker,
-    CircuitOpenError,
     DeadlineExceededError,
     RetryBudget,
     RetryPolicy,
-    is_retryable,
 )
 from .server import (
     KIND_LIKELIHOOD,
@@ -78,12 +84,6 @@ __all__ = ["AsyncInferenceClient", "InferenceClient", "ModelRouter"]
 
 Evidence = Union[Query, Mapping[int, int], Sequence, np.ndarray]
 
-#: Extra seconds a deadline-bounded result wait allows past the deadline:
-#: the worker's own typed DeadlineExceededError normally arrives within
-#: this grace, so the client backstop (which can only say "timed out")
-#: stays the exception, not the rule.
-_RESULT_GRACE_S = 5.0
-
 
 def _deadline_kwargs(remaining: Optional[float]) -> Dict[str, float]:
     """``deadline_s=remaining`` as kwargs, omitted entirely when unset.
@@ -95,7 +95,191 @@ def _deadline_kwargs(remaining: Optional[float]) -> Dict[str, float]:
     return {} if remaining is None else {"deadline_s": remaining}
 
 
-class InferenceClient:
+class _QueryVerbs:
+    """The query verbs, written once for both clients.
+
+    Each verb hands :meth:`_request` two thunks, one building what to
+    submit and one telling whether the result unwraps to its single row,
+    plus the explicit kind (``None`` when the submitted query carries its
+    own).  On :class:`InferenceClient` a verb returns the value; on
+    :class:`AsyncInferenceClient` it returns a coroutine that builds and
+    sends nothing until it is awaited.
+    """
+
+    def _request(self, build, scalar, kind, model, timeout, deadline_s):
+        raise NotImplementedError
+
+    def query(
+        self,
+        evidence: Evidence,
+        kind: Union[str, QueryKind, None] = None,
+        model: Optional[str] = None,
+        timeout: Optional[float] = None,
+        deadline_s: Optional[float] = None,
+    ):
+        """Submit and wait.  Single-row queries unwrap to a scalar result.
+
+        A mapping or a single evidence row is a scalar query; a typed
+        :class:`~repro.api.queries.Query` object, a serialized payload or
+        a 2-D batch keeps its vector shape (the typed path is batch-first).
+        """
+        return self._request(
+            lambda: evidence,
+            lambda: _is_scalar(evidence),
+            kind, model, timeout, deadline_s,
+        )
+
+    def likelihood(
+        self,
+        evidence: Evidence,
+        model: Optional[str] = None,
+        timeout: Optional[float] = None,
+        deadline_s: Optional[float] = None,
+    ):
+        return self.query(evidence, KIND_LIKELIHOOD, model, timeout, deadline_s)
+
+    def log_likelihood(
+        self,
+        evidence: Evidence,
+        model: Optional[str] = None,
+        timeout: Optional[float] = None,
+        deadline_s: Optional[float] = None,
+    ):
+        return self.query(evidence, KIND_LOG_LIKELIHOOD, model, timeout, deadline_s)
+
+    def marginal(
+        self,
+        evidence: Evidence,
+        log: bool = False,
+        normalize: bool = False,
+        model: Optional[str] = None,
+        timeout: Optional[float] = None,
+        deadline_s: Optional[float] = None,
+    ):
+        """(Log-)marginal probability of the evidence, optionally / Z."""
+        return self._request(
+            lambda: Marginal(evidence, log=log, normalize=normalize),
+            lambda: _is_scalar(evidence),
+            None, model, timeout, deadline_s,
+        )
+
+    def conditional(
+        self,
+        query: Evidence,
+        evidence: Evidence,
+        log: bool = False,
+        model: Optional[str] = None,
+        timeout: Optional[float] = None,
+        deadline_s: Optional[float] = None,
+    ):
+        """Batched conditional P(query | evidence), served in the log domain.
+
+        Unwraps to a scalar only when *both* assignments are scalar-formed
+        (a mapping or a single row) — a 2-D batch on either side keeps the
+        vector shape.
+        """
+        return self._request(
+            lambda: Conditional(evidence=evidence, query=query, log=log),
+            lambda: _is_scalar(query) and _is_scalar(evidence),
+            None, model, timeout, deadline_s,
+        )
+
+    def mpe(
+        self,
+        evidence: Evidence,
+        model: Optional[str] = None,
+        timeout: Optional[float] = None,
+        deadline_s: Optional[float] = None,
+    ):
+        return self.query(evidence, KIND_MPE, model, timeout, deadline_s)
+
+    def sample(
+        self,
+        evidence: Evidence,
+        n_samples: int = 1,
+        seed: int = 0,
+        model: Optional[str] = None,
+        timeout: Optional[float] = None,
+        deadline_s: Optional[float] = None,
+    ):
+        """Seeded conditional samples; a scalar query unwraps to
+        ``(n_samples, n_vars)``."""
+        return self._request(
+            lambda: Sample(evidence, n_samples=n_samples, seed=seed),
+            lambda: _is_scalar(evidence),
+            None, model, timeout, deadline_s,
+        )
+
+    def expectation(
+        self,
+        evidence: Evidence,
+        variables=None,
+        moment: int = 1,
+        center: bool = False,
+        model: Optional[str] = None,
+        timeout: Optional[float] = None,
+        deadline_s: Optional[float] = None,
+    ):
+        """Conditional moments per variable under the evidence."""
+        return self._request(
+            lambda: Expectation(
+                evidence, variables=variables, moment=moment, center=center
+            ),
+            lambda: _is_scalar(evidence),
+            None, model, timeout, deadline_s,
+        )
+
+    def entropy(
+        self,
+        evidence: Evidence,
+        variables=None,
+        model: Optional[str] = None,
+        timeout: Optional[float] = None,
+        deadline_s: Optional[float] = None,
+    ):
+        """Per-variable conditional entropy (nats) under the evidence."""
+        return self._request(
+            lambda: Entropy(evidence, variables=variables),
+            lambda: _is_scalar(evidence),
+            None, model, timeout, deadline_s,
+        )
+
+    def mutual_information(
+        self,
+        evidence: Optional[Evidence] = None,
+        variables=None,
+        normalize: bool = False,
+        model: Optional[str] = None,
+        timeout: Optional[float] = None,
+        deadline_s: Optional[float] = None,
+    ):
+        """Pairwise (normalized) MI matrix; ``evidence=None`` = unconditional."""
+        return self._request(
+            lambda: MutualInformation(
+                evidence, variables=variables, normalize=normalize
+            ),
+            lambda: evidence is None or _is_scalar(evidence),
+            None, model, timeout, deadline_s,
+        )
+
+    def classify(
+        self,
+        evidence: Evidence,
+        target: int,
+        log: bool = False,
+        model: Optional[str] = None,
+        timeout: Optional[float] = None,
+        deadline_s: Optional[float] = None,
+    ):
+        """Posterior over the target's states; scalar in, ``(n_states,)`` out."""
+        return self._request(
+            lambda: Classify(evidence, target=target, log=log),
+            lambda: _is_scalar(evidence),
+            None, model, timeout, deadline_s,
+        )
+
+
+class InferenceClient(_QueryVerbs):
     """Synchronous client bound to one server (and optionally one model).
 
     ``retry`` (a :class:`~repro.serving.resilience.RetryPolicy`) makes the
@@ -160,103 +344,48 @@ class InferenceClient:
         if metrics_enabled():
             self._server.metrics.registry.counter("serving_retries_total").inc()
 
-    def _should_retry(
-        self, exc: BaseException, attempt: int, deadline_at: Optional[float]
-    ) -> bool:
-        """Whether attempt ``attempt`` may be followed by another."""
-        if self._retry is None or attempt >= self._retry.max_attempts:
-            return False
-        if not is_retryable(exc):
-            return False
-        if deadline_at is not None and time.monotonic() >= deadline_at:
-            return False
-        if self._budget is not None and not self._budget.allow_retry():
-            return False
-        return True
-
-    def _attempt(
-        self,
-        submit_fn: Callable[[Optional[float]], Future],
-        breaker: Optional[CircuitBreaker],
-        deadline_at: Optional[float],
-        deadline_s: Optional[float],
-    ):
-        """One submit-and-wait attempt, reported to the breaker."""
-        if breaker is not None:
-            breaker.admit()
-        try:
-            remaining = None
-            if deadline_at is not None:
-                remaining = max(0.0, deadline_at - time.monotonic())
-                if remaining <= 0.0:
-                    raise DeadlineExceededError(
-                        f"client deadline ({deadline_s}s) expired before the attempt"
-                    )
-            future = submit_fn(remaining)
-            wait = None if remaining is None else remaining + _RESULT_GRACE_S
-            try:
-                result = future.result(timeout=wait)
-            except DeadlineExceededError:
-                raise  # the server's own typed deadline failure
-            except FuturesTimeoutError as exc:
-                future.cancel()
-                raise DeadlineExceededError(
-                    f"no result within the client deadline ({deadline_s}s)"
-                ) from exc
-        except BaseException as exc:
-            if breaker is not None and not isinstance(exc, CircuitOpenError):
-                breaker.record_failure()
-            raise
-        if breaker is not None:
-            breaker.record_success()
-        return result
-
-    def _call(
-        self,
-        name: str,
-        submit_fn: Callable[[Optional[float]], Future],
-        deadline_s: Optional[float],
-    ):
-        """Run one logical request through breaker, retries and budget.
-
-        ``submit_fn(remaining_deadline_s)`` performs one admission; it is
-        handed the deadline budget left at each attempt (``None`` when the
-        call has no deadline) so the server-side deadline always matches
-        what the caller has left, not what they started with.
-        """
-        breaker = self._breaker_for(name)
-        deadline_at = (
-            None if deadline_s is None else time.monotonic() + float(deadline_s)
-        )
-        delays = None if self._retry is None else self._retry.delays()
-        if self._budget is not None:
-            self._budget.record_request()
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                return self._attempt(submit_fn, breaker, deadline_at, deadline_s)
-            except BaseException as exc:
-                if not self._should_retry(exc, attempt, deadline_at):
-                    raise
-                self._count_retry()
-                delay = delays.next_delay()
-                if deadline_at is not None:
-                    delay = min(delay, max(0.0, deadline_at - time.monotonic()))
-                if delay > 0.0:
-                    time.sleep(delay)
-
-    def _request(self, evidence, kind, model, timeout, deadline_s):
-        """Resolve the model and run one resilient blocking request."""
-        name = self._resolve(model)
-        return self._call(
-            name,
-            lambda remaining: self._server.submit(
-                name, evidence, kind=kind, timeout=timeout,
-                **_deadline_kwargs(remaining),
-            ),
+    def _policy(self, name: str, deadline_s: Optional[float]) -> CallPolicy:
+        """The call policy of one logical request to ``name``."""
+        return CallPolicy(
+            self._retry,
+            self._budget,
+            self._breaker_for(name),
             deadline_s,
+            time.monotonic(),
+            on_retry=self._count_retry,
         )
+
+    def _send(self, name, payload, kind, timeout, remaining) -> Future:
+        """One admission, carrying the deadline left (``None``: unbounded)."""
+        return self._server.submit(
+            name, payload, kind=kind, timeout=timeout, **_deadline_kwargs(remaining)
+        )
+
+    def _request(self, build, scalar, kind, model, timeout, deadline_s):
+        """One resilient blocking request: the policy decides, this waits."""
+        payload = build()
+        name = self._resolve(model)
+        policy = self._policy(name, deadline_s)
+        while True:
+            try:
+                remaining = policy.start(time.monotonic())
+                future = self._send(name, payload, kind, timeout, remaining)
+                wait = None if remaining is None else remaining + RESULT_GRACE_S
+                try:
+                    result = future.result(timeout=wait)
+                except DeadlineExceededError:
+                    raise  # the server's own typed deadline failure
+                except FuturesTimeoutError as exc:
+                    future.cancel()
+                    raise policy.timed_out() from exc
+            except BaseException as exc:
+                delay = policy.failed(exc, time.monotonic())
+                if delay is None:
+                    raise
+                time.sleep(delay)
+            else:
+                policy.succeeded()
+                return result[0] if scalar() else result
 
     def live_version(self, model: Optional[str] = None) -> Optional[str]:
         """The version of the (default) model currently taking traffic."""
@@ -302,197 +431,8 @@ class InferenceClient:
             deadline_s=deadline_s,
         )
 
-    def query(
-        self,
-        evidence: Evidence,
-        kind: Union[str, QueryKind, None] = None,
-        model: Optional[str] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ):
-        """Submit and wait.  Single-row queries unwrap to a scalar result."""
-        result = self._request(evidence, kind, model, timeout, deadline_s)
-        return _unwrap(evidence, result)
 
-    # Convenience verbs -------------------------------------------------- #
-    def likelihood(
-        self,
-        evidence: Evidence,
-        model: Optional[str] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ):
-        return self.query(
-            evidence,
-            kind=KIND_LIKELIHOOD,
-            model=model,
-            timeout=timeout,
-            deadline_s=deadline_s,
-        )
-
-    def log_likelihood(
-        self,
-        evidence: Evidence,
-        model: Optional[str] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ):
-        return self.query(
-            evidence,
-            kind=KIND_LOG_LIKELIHOOD,
-            model=model,
-            timeout=timeout,
-            deadline_s=deadline_s,
-        )
-
-    def marginal(
-        self,
-        evidence: Evidence,
-        log: bool = False,
-        normalize: bool = False,
-        model: Optional[str] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ):
-        """(Log-)marginal probability of the evidence, optionally / Z."""
-        result = self._request(
-            Marginal(evidence, log=log, normalize=normalize),
-            None,
-            model,
-            timeout,
-            deadline_s,
-        )
-        return _unwrap(evidence, result)
-
-    def conditional(
-        self,
-        query: Evidence,
-        evidence: Evidence,
-        log: bool = False,
-        model: Optional[str] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ):
-        """Batched conditional P(query | evidence), served in the log domain.
-
-        Unwraps to a scalar only when *both* assignments are scalar-formed
-        (a mapping or a single row) — a 2-D batch on either side keeps the
-        vector shape.
-        """
-        result = self._request(
-            Conditional(evidence=evidence, query=query, log=log),
-            None,
-            model,
-            timeout,
-            deadline_s,
-        )
-        return result[0] if _is_scalar(query) and _is_scalar(evidence) else result
-
-    def mpe(
-        self,
-        evidence: Evidence,
-        model: Optional[str] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ):
-        return self.query(
-            evidence, kind=KIND_MPE, model=model, timeout=timeout, deadline_s=deadline_s
-        )
-
-    def sample(
-        self,
-        evidence: Evidence,
-        n_samples: int = 1,
-        seed: int = 0,
-        model: Optional[str] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ):
-        """Seeded conditional samples; a scalar query unwraps to
-        ``(n_samples, n_vars)``."""
-        result = self._request(
-            Sample(evidence, n_samples=n_samples, seed=seed),
-            None,
-            model,
-            timeout,
-            deadline_s,
-        )
-        return _unwrap(evidence, result)
-
-    def expectation(
-        self,
-        evidence: Evidence,
-        variables=None,
-        moment: int = 1,
-        center: bool = False,
-        model: Optional[str] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ):
-        """Conditional moments per variable under the evidence."""
-        result = self._request(
-            Expectation(evidence, variables=variables, moment=moment, center=center),
-            None,
-            model,
-            timeout,
-            deadline_s,
-        )
-        return _unwrap(evidence, result)
-
-    def entropy(
-        self,
-        evidence: Evidence,
-        variables=None,
-        model: Optional[str] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ):
-        """Per-variable conditional entropy (nats) under the evidence."""
-        result = self._request(
-            Entropy(evidence, variables=variables), None, model, timeout, deadline_s
-        )
-        return _unwrap(evidence, result)
-
-    def mutual_information(
-        self,
-        evidence: Optional[Evidence] = None,
-        variables=None,
-        normalize: bool = False,
-        model: Optional[str] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ):
-        """Pairwise (normalized) MI matrix; ``evidence=None`` = unconditional."""
-        result = self._request(
-            MutualInformation(evidence, variables=variables, normalize=normalize),
-            None,
-            model,
-            timeout,
-            deadline_s,
-        )
-        return result[0] if evidence is None or _is_scalar(evidence) else result
-
-    def classify(
-        self,
-        evidence: Evidence,
-        target: int,
-        log: bool = False,
-        model: Optional[str] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ):
-        """Posterior over the target's states; scalar in, ``(n_states,)`` out."""
-        result = self._request(
-            Classify(evidence, target=target, log=log),
-            None,
-            model,
-            timeout,
-            deadline_s,
-        )
-        return _unwrap(evidence, result)
-
-
-class AsyncInferenceClient:
+class AsyncInferenceClient(_QueryVerbs):
     """``asyncio`` client: the same surface as :class:`InferenceClient`, awaited.
 
     Admission (which may block on backpressure) runs in the default
@@ -504,7 +444,8 @@ class AsyncInferenceClient:
     :class:`InferenceClient` (the breakers and budget are shared with the
     underlying sync client, so mixed sync/async use of one deployment sees
     one consistent breaker state per model); retry backoff awaits
-    ``asyncio.sleep`` and a task cancellation always propagates untouched.
+    ``asyncio.sleep``, and a task cancellation always propagates untouched
+    after freeing the breaker's half-open probe slot it may hold.
     """
 
     def __init__(
@@ -519,292 +460,42 @@ class AsyncInferenceClient:
             server, model, retry=retry, retry_budget=retry_budget, breaker=breaker
         )
 
-    async def _submit(self, submit_fn, unwrap, model=None, deadline_s=None):
-        """One resilient async request.
-
-        ``submit_fn(remaining_deadline_s)`` performs one admission (in the
-        executor — it may block on backpressure).  The wait for the
-        result is bounded by the remaining deadline plus the same grace
-        the sync client uses; retryable failures back off with
-        ``asyncio.sleep`` under the shared policy, budget and per-model
-        breaker.
-        """
+    async def _request(self, build, scalar, kind, model, timeout, deadline_s):
+        """One resilient async request: the policy decides, this awaits."""
         sync = self._sync
+        payload = build()
         name = sync._resolve(model)
-        breaker = sync._breaker_for(name)
-        deadline_at = (
-            None if deadline_s is None else time.monotonic() + float(deadline_s)
-        )
-        delays = None if sync._retry is None else sync._retry.delays()
-        if sync._budget is not None:
-            sync._budget.record_request()
+        policy = sync._policy(name, deadline_s)
         loop = asyncio.get_running_loop()
-        attempt = 0
         while True:
-            attempt += 1
             try:
-                if breaker is not None:
-                    breaker.admit()
+                remaining = policy.start(time.monotonic())
+                future = await loop.run_in_executor(
+                    None, sync._send, name, payload, kind, timeout, remaining
+                )
+                wait = None if remaining is None else remaining + RESULT_GRACE_S
                 try:
-                    remaining = None
-                    if deadline_at is not None:
-                        remaining = max(0.0, deadline_at - time.monotonic())
-                        if remaining <= 0.0:
-                            raise DeadlineExceededError(
-                                f"client deadline ({deadline_s}s) expired before "
-                                f"the attempt"
-                            )
-                    future = await loop.run_in_executor(None, submit_fn, remaining)
-                    bridged = asyncio.wrap_future(future)
-                    if remaining is None:
-                        result = await bridged
-                    else:
-                        try:
-                            result = await asyncio.wait_for(
-                                bridged, timeout=remaining + _RESULT_GRACE_S
-                            )
-                        except asyncio.TimeoutError as exc:
-                            raise DeadlineExceededError(
-                                f"no result within the client deadline "
-                                f"({deadline_s}s)"
-                            ) from exc
-                except asyncio.CancelledError:
-                    raise  # task cancellation is not a service failure
-                except BaseException as exc:
-                    if breaker is not None and not isinstance(exc, CircuitOpenError):
-                        breaker.record_failure()
-                    raise
-                if breaker is not None:
-                    breaker.record_success()
-                return unwrap(result)
+                    result = await asyncio.wait_for(asyncio.wrap_future(future), wait)
+                except DeadlineExceededError:
+                    raise  # the server's own typed deadline failure
+                except asyncio.TimeoutError as exc:
+                    raise policy.timed_out() from exc
             except asyncio.CancelledError:
+                policy.cancelled()  # task cancellation is not a service failure
                 raise
             except BaseException as exc:
-                if not sync._should_retry(exc, attempt, deadline_at):
+                delay = policy.failed(exc, time.monotonic())
+                if delay is None:
                     raise
-                sync._count_retry()
-                delay = delays.next_delay()
-                if deadline_at is not None:
-                    delay = min(delay, max(0.0, deadline_at - time.monotonic()))
-                if delay > 0.0:
-                    await asyncio.sleep(delay)
+                await asyncio.sleep(delay)
+            else:
+                policy.succeeded()
+                return result[0] if scalar() else result
 
     async def server_stats(self) -> Dict[str, object]:
         """Awaitable :meth:`InferenceClient.server_stats` (runs in the executor)."""
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(None, self._sync.server_stats)
-
-    async def query(
-        self,
-        evidence: Evidence,
-        kind: Union[str, QueryKind, None] = None,
-        model: Optional[str] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ):
-        return await self._submit(
-            lambda remaining: self._sync.submit(
-                evidence, kind=kind, model=model, timeout=timeout,
-                **_deadline_kwargs(remaining),
-            ),
-            lambda result: _unwrap(evidence, result),
-            model=model,
-            deadline_s=deadline_s,
-        )
-
-    async def likelihood(
-        self,
-        evidence: Evidence,
-        model: Optional[str] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ):
-        return await self.query(
-            evidence,
-            kind=KIND_LIKELIHOOD,
-            model=model,
-            timeout=timeout,
-            deadline_s=deadline_s,
-        )
-
-    async def log_likelihood(
-        self,
-        evidence: Evidence,
-        model: Optional[str] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ):
-        return await self.query(
-            evidence,
-            kind=KIND_LOG_LIKELIHOOD,
-            model=model,
-            timeout=timeout,
-            deadline_s=deadline_s,
-        )
-
-    async def marginal(
-        self,
-        evidence: Evidence,
-        log: bool = False,
-        normalize: bool = False,
-        model: Optional[str] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ):
-        return await self._submit(
-            lambda remaining: self._sync.submit(
-                Marginal(evidence, log=log, normalize=normalize),
-                model=model,
-                timeout=timeout,
-                **_deadline_kwargs(remaining),
-            ),
-            lambda result: _unwrap(evidence, result),
-            model=model,
-            deadline_s=deadline_s,
-        )
-
-    async def conditional(
-        self,
-        query: Evidence,
-        evidence: Evidence,
-        log: bool = False,
-        model: Optional[str] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ):
-        scalar = _is_scalar(query) and _is_scalar(evidence)
-        return await self._submit(
-            lambda remaining: self._sync.submit(
-                Conditional(evidence=evidence, query=query, log=log),
-                model=model,
-                timeout=timeout,
-                **_deadline_kwargs(remaining),
-            ),
-            lambda result: result[0] if scalar else result,
-            model=model,
-            deadline_s=deadline_s,
-        )
-
-    async def mpe(
-        self,
-        evidence: Evidence,
-        model: Optional[str] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ):
-        return await self.query(
-            evidence, kind=KIND_MPE, model=model, timeout=timeout, deadline_s=deadline_s
-        )
-
-    async def sample(
-        self,
-        evidence: Evidence,
-        n_samples: int = 1,
-        seed: int = 0,
-        model: Optional[str] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ):
-        return await self._submit(
-            lambda remaining: self._sync.submit(
-                Sample(evidence, n_samples=n_samples, seed=seed),
-                model=model,
-                timeout=timeout,
-                **_deadline_kwargs(remaining),
-            ),
-            lambda result: _unwrap(evidence, result),
-            model=model,
-            deadline_s=deadline_s,
-        )
-
-    async def expectation(
-        self,
-        evidence: Evidence,
-        variables=None,
-        moment: int = 1,
-        center: bool = False,
-        model: Optional[str] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ):
-        return await self._submit(
-            lambda remaining: self._sync.submit(
-                Expectation(
-                    evidence, variables=variables, moment=moment, center=center
-                ),
-                model=model,
-                timeout=timeout,
-                **_deadline_kwargs(remaining),
-            ),
-            lambda result: _unwrap(evidence, result),
-            model=model,
-            deadline_s=deadline_s,
-        )
-
-    async def entropy(
-        self,
-        evidence: Evidence,
-        variables=None,
-        model: Optional[str] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ):
-        return await self._submit(
-            lambda remaining: self._sync.submit(
-                Entropy(evidence, variables=variables),
-                model=model,
-                timeout=timeout,
-                **_deadline_kwargs(remaining),
-            ),
-            lambda result: _unwrap(evidence, result),
-            model=model,
-            deadline_s=deadline_s,
-        )
-
-    async def mutual_information(
-        self,
-        evidence: Optional[Evidence] = None,
-        variables=None,
-        normalize: bool = False,
-        model: Optional[str] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ):
-        scalar = evidence is None or _is_scalar(evidence)
-        return await self._submit(
-            lambda remaining: self._sync.submit(
-                MutualInformation(
-                    evidence, variables=variables, normalize=normalize
-                ),
-                model=model,
-                timeout=timeout,
-                **_deadline_kwargs(remaining),
-            ),
-            lambda result: result[0] if scalar else result,
-            model=model,
-            deadline_s=deadline_s,
-        )
-
-    async def classify(
-        self,
-        evidence: Evidence,
-        target: int,
-        log: bool = False,
-        model: Optional[str] = None,
-        timeout: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-    ):
-        return await self._submit(
-            lambda remaining: self._sync.submit(
-                Classify(evidence, target=target, log=log),
-                model=model,
-                timeout=timeout,
-                **_deadline_kwargs(remaining),
-            ),
-            lambda result: _unwrap(evidence, result),
-            model=model,
-            deadline_s=deadline_s,
-        )
 
 
 class ModelRouter:
@@ -905,12 +596,3 @@ def _is_scalar(evidence: Evidence) -> bool:
         return "kind" not in evidence  # payloads are batch-first
     return np.asarray(evidence).ndim == 1
 
-
-def _unwrap(evidence: Evidence, result):
-    """Collapse a one-row result to its scalar when the query was scalar.
-
-    A mapping or a single evidence row is a scalar query; a typed
-    :class:`~repro.api.queries.Query` object, a serialized payload or a
-    2-D batch keeps its vector shape (the typed path is batch-first).
-    """
-    return result[0] if _is_scalar(evidence) else result

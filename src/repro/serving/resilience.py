@@ -31,9 +31,15 @@ roughly ``ratio`` of traffic and a hard outage cannot trigger a retry
 storm.  :class:`CircuitBreaker` is the standard three-state machine
 (closed → open after ``failure_threshold`` consecutive failures → half
 open after ``reset_timeout_s``, where a single probe decides).  All three
-are thread-safe; the clients in :mod:`repro.serving.client` wire them
-together (one breaker per model) and record ``serving_retries_total`` /
-``serving_breaker_state`` on the server's metrics registry.
+are thread-safe.
+
+:class:`CallPolicy` combines them for one logical client request.  It is
+sans-I/O: it takes the time and each attempt's outcome and answers what to
+do next (send, back off, or give up), but never sleeps, waits or submits.
+Both clients in :mod:`repro.serving.client` drive the same policy from
+their own waiting loop (one breaker per model), and record
+``serving_retries_total`` / ``serving_breaker_state`` on the server's
+metrics registry.
 """
 
 from __future__ import annotations
@@ -331,3 +337,111 @@ class CircuitBreaker:
                 self._opened_at = self._clock()
             self._probe_in_flight = False
         self._notify(changed)
+
+    def release(self) -> None:
+        """Close an admitted request that ended with no outcome (cancelled).
+
+        Frees the half-open probe slot and leaves the state alone, so the
+        next :meth:`admit` may probe; a cancelled probe would otherwise
+        hold the slot forever.
+        """
+        with self._lock:
+            self._probe_in_flight = False
+
+
+#: Extra seconds a deadline-bounded result wait allows past the deadline:
+#: the worker's own typed DeadlineExceededError normally arrives within
+#: this grace, so a caller's local backstop (which can only say "timed
+#: out") stays the exception, not the rule.
+RESULT_GRACE_S = 5.0
+
+
+class CallPolicy:
+    """Retry, budget, breaker and deadline decisions of one logical request.
+
+    Sans-I/O: the caller passes the time and each attempt's outcome, and
+    the policy answers what to do next; it never sleeps, waits or submits.
+    Constructing it makes the ``budget`` deposit for the fresh request.
+    Per attempt, the caller calls :meth:`start`, sends, then closes the
+    attempt with exactly one of :meth:`succeeded`, :meth:`failed` or
+    :meth:`cancelled`.  ``on_retry`` is called once per granted retry.
+    """
+
+    def __init__(
+        self,
+        retry: Optional[RetryPolicy],
+        budget: Optional[RetryBudget],
+        breaker: Optional[CircuitBreaker],
+        deadline_s: Optional[float],
+        now: float,
+        on_retry: Optional[Callable[[], None]] = None,
+    ) -> None:
+        self._retry = retry
+        self._budget = budget
+        self._breaker = breaker
+        self._deadline_s = deadline_s
+        self._deadline_at = None if deadline_s is None else now + float(deadline_s)
+        self._delays = None if retry is None else retry.delays()
+        self._on_retry = on_retry
+        self._attempts = 0
+        if budget is not None:
+            budget.record_request()
+
+    def start(self, now: float) -> Optional[float]:
+        """Admit one attempt; return the deadline left (``None``: unbounded).
+
+        Raises :class:`CircuitOpenError` when the breaker refuses, and
+        :class:`DeadlineExceededError` when the deadline has passed.  Both
+        are this attempt's failure: hand them to :meth:`failed`.
+        """
+        self._attempts += 1
+        if self._breaker is not None:
+            self._breaker.admit()
+        if self._deadline_at is None:
+            return None
+        remaining = self._deadline_at - now
+        if remaining <= 0.0:
+            raise DeadlineExceededError(
+                f"client deadline ({self._deadline_s}s) expired before the attempt"
+            )
+        return remaining
+
+    def timed_out(self) -> DeadlineExceededError:
+        """The error for a result wait that outlived the deadline and grace."""
+        return DeadlineExceededError(
+            f"no result within the client deadline ({self._deadline_s}s)"
+        )
+
+    def succeeded(self) -> None:
+        if self._breaker is not None:
+            self._breaker.record_success()
+
+    def cancelled(self) -> None:
+        """The caller was cancelled mid-attempt: no outcome to record."""
+        if self._breaker is not None:
+            self._breaker.release()
+
+    def failed(self, exc: BaseException, now: float) -> Optional[float]:
+        """Record a failed attempt; return the backoff, or ``None`` to re-raise.
+
+        An open circuit is never counted against the breaker.  The retry
+        checks run attempts, then :func:`is_retryable`, then the deadline,
+        then the budget, so a budget token is spent only on a retry every
+        other check allows.  The backoff is clipped to the deadline left.
+        """
+        if self._breaker is not None and not isinstance(exc, CircuitOpenError):
+            self._breaker.record_failure()
+        if self._retry is None or self._attempts >= self._retry.max_attempts:
+            return None
+        if not is_retryable(exc):
+            return None
+        if self._deadline_at is not None and now >= self._deadline_at:
+            return None
+        if self._budget is not None and not self._budget.allow_retry():
+            return None
+        if self._on_retry is not None:
+            self._on_retry()
+        delay = self._delays.next_delay()
+        if self._deadline_at is not None:
+            delay = min(delay, self._deadline_at - now)
+        return delay

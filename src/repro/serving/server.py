@@ -55,9 +55,10 @@ Resilience (see ``docs/robustness.md`` for the full semantics):
   by ``max_rescues`` per item); a supervisor thread detects dead workers
   and restarts them, counting ``serving_worker_restarts_total``.
 
-Fault sites (:mod:`repro.faults`) are resolved **once per batch**: when no
-plan is installed the worker takes :meth:`InferenceServer.
-_process_batch_fast` — the original, uninstrumented path.
+Fault sites (:mod:`repro.faults`) are resolved **once per batch**: the
+worker's one batch loop, :meth:`InferenceServer._process_batch`, reads the
+installed plan once and skips each fault site with an ``if plan is not
+None`` test when there is none.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ import numpy as np
 from ..api.queries import Conditional, Query, QueryKind, Sample, as_kind, query_type
 from ..api.session import InferenceSession
 from ..faults.hooks import active_plan as _active_fault_plan
-from ..faults.plan import FaultPlan, InjectedCrash, InjectedExecutorFault
+from ..faults.plan import InjectedCrash, InjectedExecutorFault
 from ..lifecycle.artifact import ModelArtifact
 from ..lifecycle.registry import ModelRegistry, PublishReport
 from ..observability import REGISTRY, TRACER, metrics_enabled
@@ -98,7 +99,12 @@ from .queue import (
     QueueFullError,
     WorkItem,
 )
-from .resilience import DeadlineExceededError, SheddingError, WorkerCrashError
+from .resilience import (
+    RESULT_GRACE_S,
+    DeadlineExceededError,
+    SheddingError,
+    WorkerCrashError,
+)
 
 __all__ = [
     "KIND_LIKELIHOOD",
@@ -891,7 +897,7 @@ class InferenceServer:
         # The result wait is bounded when the caller bounded the request;
         # the small grace covers delivery of the worker's own typed
         # deadline failure before the local TimeoutError backstop fires.
-        wait = None if deadline_s is None else deadline_s + 5.0
+        wait = None if deadline_s is None else deadline_s + RESULT_GRACE_S
         return future.result(timeout=wait)
 
     # ------------------------------------------------------------------ #
@@ -1051,43 +1057,29 @@ class InferenceServer:
             self._retired.add(threading.current_thread())
 
     def _process_batch(self, batch: List[WorkItem]) -> None:
-        """Process one micro-batch, resolving the fault plane exactly once.
+        """Process one micro-batch: record its queue wait, run each group.
 
-        This is the zero-overhead-when-off switch: one module-attribute
-        read, then the original uninstrumented path
-        (:meth:`_process_batch_fast`) when no plan is installed.
+        The fault plane is resolved once per batch (one module-attribute
+        read); with no plan installed, each fault site costs one
+        ``plan is not None`` test.  ``serving.worker_crash`` fires before
+        anything is delivered, so a crashed batch is rescued whole;
+        ``serving.slow_kernel`` and ``serving.executor_fault`` fire per
+        engine-call group, the latter failing exactly that group's rows
+        with the retryable injected error.
         """
         plan = _active_fault_plan()
-        if plan is None:
-            self._process_batch_fast(batch)
-        else:
-            self._process_batch_chaos(batch, plan)
-
-    def _process_batch_fast(self, batch: List[WorkItem]) -> None:
-        """The production batch path (no fault instrumentation)."""
+        if plan is not None:
+            plan.maybe_raise("serving.worker_crash", InjectedCrash)
         self._record_queue_wait(batch)
         for (served, kind), items in self._group_batch(batch).items():
-            self._run_group(served, kind, items)
-
-    def _process_batch_chaos(self, batch: List[WorkItem], plan: FaultPlan) -> None:
-        """The batch path with fault sites armed (a plan is installed).
-
-        ``serving.worker_crash`` fires before anything is delivered, so a
-        crashed batch is rescued whole; ``serving.slow_kernel`` and
-        ``serving.executor_fault`` fire per engine-call group, the latter
-        failing exactly that group's rows with the retryable injected
-        error.
-        """
-        plan.maybe_raise("serving.worker_crash", InjectedCrash)
-        self._record_queue_wait(batch)
-        for (served, kind), items in self._group_batch(batch).items():
-            plan.maybe_delay("serving.slow_kernel")
-            try:
-                plan.maybe_raise("serving.executor_fault", InjectedExecutorFault)
-            except InjectedExecutorFault as exc:
-                for item in items:
-                    item.request.fail(exc)
-                continue
+            if plan is not None:
+                plan.maybe_delay("serving.slow_kernel")
+                try:
+                    plan.maybe_raise("serving.executor_fault", InjectedExecutorFault)
+                except InjectedExecutorFault as exc:
+                    for item in items:
+                        item.request.fail(exc)
+                    continue
             self._run_group(served, kind, items)
 
     def _group_batch(

@@ -4,9 +4,11 @@ circuit breakers, self-healing workers and the chaos soak harness."""
 import asyncio
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import InferenceSession, LogLikelihood
 from repro.faults import FaultPlan, FaultSpec, fault_scope
@@ -28,6 +30,7 @@ from repro.serving import (
     WorkerCrashError,
     is_retryable,
 )
+from repro.serving.resilience import CallPolicy
 
 BENCHMARK = "Banknote"
 N_VARS = 4
@@ -223,6 +226,91 @@ class TestIsRetryable:
 
 
 # --------------------------------------------------------------------------- #
+# The call policy: a sans-I/O state machine, driven here on a fake clock
+# --------------------------------------------------------------------------- #
+_FAILURES = {
+    "retryable": lambda: SheddingError("shed"),
+    "fatal": lambda: ValueError("bad"),
+    "deadline": lambda: DeadlineExceededError("deadline expired in queue"),
+}
+
+#: One request's script, per attempt: its outcome, the time that passes
+#: before it starts (a sleep overshooting its backoff) and its duration.
+_SCRIPTS = st.lists(
+    st.tuples(
+        st.sampled_from(["ok", *_FAILURES]),
+        st.floats(0.0, 0.05),
+        st.floats(0.0, 0.2),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestCallPolicy:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        max_attempts=st.integers(1, 6),
+        ratio=st.floats(0.0, 1.0),
+        min_tokens=st.integers(0, 4),
+        deadline_s=st.none() | st.floats(0.01, 0.5),
+        breaker=st.none() | st.tuples(st.integers(1, 3), st.floats(0.0, 0.3)),
+        scripts=st.lists(_SCRIPTS, min_size=1, max_size=12),
+    )
+    def test_retries_respect_attempts_budget_and_deadline(
+        self, max_attempts, ratio, min_tokens, deadline_s, breaker, scripts
+    ):
+        clock = [0.0]
+        retry = RetryPolicy(
+            max_attempts=max_attempts, base_delay_s=0.01, max_delay_s=0.1, seed=3
+        )
+        budget = RetryBudget(
+            ratio=ratio, min_tokens=min_tokens, max_tokens=min_tokens + 4
+        )
+        circuit = None
+        if breaker is not None:
+            circuit = CircuitBreaker(*breaker, clock=lambda: clock[0])
+        counted = []
+        retries = 0
+        for script in scripts:
+            policy = CallPolicy(
+                retry, budget, circuit, deadline_s, clock[0],
+                on_retry=lambda: counted.append(clock[0]),
+            )
+            deadline_at = None if deadline_s is None else clock[0] + deadline_s
+            outcomes = iter(script)
+            attempts = 0
+            while True:
+                outcome, lag, elapsed = next(outcomes, ("ok", 0.0, 0.0))
+                attempts += 1
+                clock[0] += lag
+                try:
+                    remaining = policy.start(clock[0])
+                except (CircuitOpenError, DeadlineExceededError) as exc:
+                    error = exc
+                else:
+                    if deadline_at is not None:  # no attempt starts expired
+                        assert 0.0 < remaining == deadline_at - clock[0]
+                    clock[0] += elapsed
+                    if outcome == "ok":
+                        policy.succeeded()
+                        break
+                    error = _FAILURES[outcome]()
+                delay = policy.failed(error, clock[0])
+                if delay is None:
+                    break
+                retries += 1
+                assert not isinstance(error, DeadlineExceededError)
+                if deadline_at is not None:
+                    assert clock[0] < deadline_at
+                    assert delay <= deadline_at - clock[0]
+                clock[0] += delay
+            assert attempts <= max_attempts
+        assert len(counted) == retries
+        assert retries <= min_tokens + ratio * len(scripts) + 1e-9
+
+
+# --------------------------------------------------------------------------- #
 # Deadlines
 # --------------------------------------------------------------------------- #
 class TestDeadlines:
@@ -337,7 +425,24 @@ class TestLoadShedding:
 # --------------------------------------------------------------------------- #
 # Client retries and breakers
 # --------------------------------------------------------------------------- #
+class _AwaitedClient:
+    """An :class:`AsyncInferenceClient` whose verbs run to completion when
+    called, so the blocking-client tests also drive the async loop."""
+
+    def __init__(self, *args, **kwargs):
+        self._client = AsyncInferenceClient(*args, **kwargs)
+
+    def __getattr__(self, name):
+        verb = getattr(self._client, name)
+        return lambda *args, **kwargs: asyncio.run(verb(*args, **kwargs))
+
+
 class TestClientRetries:
+    """The retry and breaker loop of the blocking client; the subclass
+    below runs every case again through the async client's loop."""
+
+    client_type = InferenceClient
+
     def _flaky_server(self, server, failures, exc_factory):
         """Monkeypatch ``server.submit`` to fail its first ``failures``
         calls with ``exc_factory()`` and serve normally afterwards."""
@@ -358,7 +463,7 @@ class TestClientRetries:
     def test_retry_rides_through_transient_shedding(self):
         with InferenceServer(models=[BENCHMARK]) as server:
             state = self._flaky_server(server, 2, lambda: SheddingError("shed"))
-            client = InferenceClient(
+            client = self.client_type(
                 server,
                 BENCHMARK,
                 retry=RetryPolicy(max_attempts=4, base_delay_s=0.0, jitter=0.0),
@@ -372,7 +477,7 @@ class TestClientRetries:
     def test_attempts_exhausted_reraises_the_failure(self):
         with InferenceServer(models=[BENCHMARK]) as server:
             self._flaky_server(server, 100, lambda: SheddingError("shed"))
-            client = InferenceClient(
+            client = self.client_type(
                 server,
                 BENCHMARK,
                 retry=RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0),
@@ -383,7 +488,7 @@ class TestClientRetries:
     def test_non_retryable_failures_fail_fast(self):
         with InferenceServer(models=[BENCHMARK]) as server:
             state = self._flaky_server(server, 100, lambda: ValueError("bad"))
-            client = InferenceClient(
+            client = self.client_type(
                 server,
                 BENCHMARK,
                 retry=RetryPolicy(max_attempts=5, base_delay_s=0.0, jitter=0.0),
@@ -395,7 +500,7 @@ class TestClientRetries:
     def test_exhausted_budget_denies_the_retry(self):
         with InferenceServer(models=[BENCHMARK]) as server:
             state = self._flaky_server(server, 100, lambda: SheddingError("shed"))
-            client = InferenceClient(
+            client = self.client_type(
                 server,
                 BENCHMARK,
                 retry=RetryPolicy(max_attempts=10, base_delay_s=0.0, jitter=0.0),
@@ -408,7 +513,7 @@ class TestClientRetries:
     def test_no_retry_policy_means_no_retries(self):
         with InferenceServer(models=[BENCHMARK]) as server:
             state = self._flaky_server(server, 1, lambda: SheddingError("shed"))
-            client = InferenceClient(server, BENCHMARK)
+            client = self.client_type(server, BENCHMARK)
             with pytest.raises(SheddingError):
                 client.query(_row())
             assert state["calls"] == 1
@@ -416,7 +521,7 @@ class TestClientRetries:
     def test_breaker_opens_and_fails_fast(self):
         with InferenceServer(models=[BENCHMARK]) as server:
             state = self._flaky_server(server, 100, lambda: SheddingError("shed"))
-            client = InferenceClient(
+            client = self.client_type(
                 server,
                 BENCHMARK,
                 breaker=BreakerPolicy(failure_threshold=3, reset_timeout_s=60.0),
@@ -436,7 +541,7 @@ class TestClientRetries:
     def test_breaker_recovers_through_half_open_probe(self):
         with InferenceServer(models=[BENCHMARK]) as server:
             state = self._flaky_server(server, 2, lambda: SheddingError("shed"))
-            client = InferenceClient(
+            client = self.client_type(
                 server,
                 BENCHMARK,
                 breaker=BreakerPolicy(failure_threshold=2, reset_timeout_s=0.02),
@@ -452,6 +557,28 @@ class TestClientRetries:
             )
             assert gauge.value == 0  # closed again
             assert state["calls"] == 3
+
+    def test_server_deadline_failure_reaches_the_caller_untouched(self):
+        """The worker's typed deadline failure is a TimeoutError too; the
+        client must not replace it with its own local-timeout backstop."""
+        with InferenceServer(models=[BENCHMARK]) as server:
+
+            def expired(model, evidence, kind=None, timeout=None, deadline_s=None):
+                future = Future()
+                future.set_exception(
+                    DeadlineExceededError("deadline expired in queue before execution")
+                )
+                return future
+
+            server.submit = expired
+            client = self.client_type(server, BENCHMARK)
+            with pytest.raises(DeadlineExceededError, match="expired in queue") as info:
+                client.query(_row(), deadline_s=1.0)
+            assert info.value.__cause__ is None
+
+
+class TestAsyncClientRetries(TestClientRetries):
+    client_type = _AwaitedClient
 
 
 # --------------------------------------------------------------------------- #
@@ -601,6 +728,57 @@ class TestAsyncCancellation:
             assert _wait_until(lambda: server.in_flight() == 0)
         server.stop()
         assert counts.get("linear", 0) == 0  # the cancelled row never executed
+
+
+    def test_cancelled_half_open_probe_frees_the_breaker_slot(self):
+        """A half-open probe whose task is cancelled records no outcome,
+        but must free the probe slot: the next call probes and closes the
+        breaker instead of failing fast forever."""
+        with InferenceServer(models=[BENCHMARK]) as server:
+            real_submit = server.submit
+            mode = {"now": "shed"}
+            hung = threading.Event()
+
+            def submit(model, evidence, kind=None, timeout=None, deadline_s=None):
+                if mode["now"] == "shed":
+                    raise SheddingError("shed")
+                if mode["now"] == "hang":
+                    hung.set()
+                    return Future()  # never resolves
+                return real_submit(
+                    model, evidence, kind=kind, timeout=timeout, deadline_s=deadline_s
+                )
+
+            server.submit = submit
+            client = AsyncInferenceClient(
+                server,
+                BENCHMARK,
+                breaker=BreakerPolicy(failure_threshold=2, reset_timeout_s=0.02),
+            )
+
+            async def scenario():
+                for _ in range(2):
+                    with pytest.raises(SheddingError):
+                        await client.log_likelihood(_row())
+                await asyncio.sleep(0.05)  # cooldown over: the next call probes
+                mode["now"] = "hang"
+                probe = asyncio.ensure_future(client.log_likelihood(_row()))
+                loop = asyncio.get_running_loop()
+                assert await loop.run_in_executor(None, hung.wait, 5.0)
+                probe.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await probe
+                mode["now"] = "serve"
+                return [await client.log_likelihood(_row(i)) for i in range(3)]
+
+            values = asyncio.run(scenario())
+            session = server.model(BENCHMARK).session
+            for i, value in enumerate(values):
+                assert value == session.run(LogLikelihood(evidence=_row(i)))[0]
+            gauge = server.metrics.registry.gauge(
+                "serving_breaker_state", model=BENCHMARK
+            )
+            assert gauge.value == 0  # closed by the probe after the cancelled one
 
 
 # --------------------------------------------------------------------------- #
