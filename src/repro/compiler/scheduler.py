@@ -191,16 +191,30 @@ class Scheduler:
     def _prepare(self) -> None:
         graph, config = self._graph, self._config
 
+        # Per-cone tables, built once for the many placement attempts: the
+        # operand slots (one per reference), the distinct slots in the order
+        # placement reads them, and the PE levels the cone occupies.  That
+        # order is set iteration order and must stay so: a failed attempt
+        # marks the row of the first unloaded input it meets as wanted,
+        # which steers the load schedule.
+        self._n_inputs = self._ops.n_inputs
+        self._cone_slots: List[Tuple[int, ...]] = [
+            tuple(cone.external_slots()) for cone in graph.cones
+        ]
+        self._cone_reads: List[Tuple[int, ...]] = [
+            tuple(set(slots)) for slots in self._cone_slots
+        ]
+        self._cone_depth: List[int] = [cone.depth for cone in graph.cones]
+
         # Reference counts: how many operand references each slot still has,
         # and which slots are read together (the crossbar conflict graph the
         # bank allocator tries to keep colorable).
         self._remaining_refs: Dict[int, int] = {}
         self._conflicts: Dict[int, Set[int]] = {}
         for cone in graph.cones:
-            slots = cone.external_slots()
-            for slot in slots:
+            for slot in self._cone_slots[cone.index]:
                 self._remaining_refs[slot] = self._remaining_refs.get(slot, 0) + 1
-            unique = sorted(set(slots))
+            unique = sorted(self._cone_reads[cone.index])
             for i, a in enumerate(unique):
                 for b in unique[i + 1 :]:
                     self._conflicts.setdefault(a, set()).add(b)
@@ -260,13 +274,13 @@ class Scheduler:
         not share a lane — a lane maps directly to a register bank, so sharing
         one would be a guaranteed crossbar conflict.
         """
-        ops, config = self._ops, self._config
+        config, n_inputs = self._config, self._n_inputs
         asap = self._graph.asap_levels()
         first_use: Dict[int, Tuple[int, int, int]] = {}
         for cone in self._graph.cones:
             key = (asap[cone.index], -self._priority[cone.index], cone.index)
-            for slot in cone.external_slots():
-                if slot < ops.n_inputs and (slot not in first_use or key < first_use[slot]):
+            for slot in self._cone_slots[cone.index]:
+                if slot < n_inputs and (slot not in first_use or key < first_use[slot]):
                     first_use[slot] = key
         ordered = sorted(first_use, key=lambda s: (first_use[s], s))
         rows: List[List[Optional[int]]] = []
@@ -287,17 +301,15 @@ class Scheduler:
         self._dmem_image = [list(row) for row in rows]
         self._row_refs: List[int] = [0] * len(rows)
         for slot, count in self._remaining_refs.items():
-            if slot < ops.n_inputs:
+            if slot < n_inputs:
                 row_index, _ = self._row_of_slot[slot]
                 self._row_refs[row_index] += count
         self._next_row_cursor = 0
 
     def _repair_input_lanes(self, rows: List[List[Optional[int]]]) -> None:
         """Swap lanes so co-read input slots do not collide on a bank."""
-        for cone in self._graph.cones:
-            input_slots = sorted(
-                {s for s in cone.external_slots() if s < self._ops.n_inputs}
-            )
+        for reads in self._cone_reads:
+            input_slots = sorted(s for s in reads if s < self._n_inputs)
             used_lanes: Dict[int, int] = {}
             for slot in input_slots:
                 row_index, lane = self._row_of_slot[slot]
@@ -361,7 +373,7 @@ class Scheduler:
             )
             blocked_rows |= cone_rows
             if placed:
-                free_leaf_slots -= 2 ** (cone.depth - 1)
+                free_leaf_slots -= 2 ** (self._cone_depth[cone_index] - 1)
                 n_placed += 1
             else:
                 deferred.append((priority, cone_index))
@@ -397,7 +409,7 @@ class Scheduler:
 
         # 1. All operand data must be readable this cycle.
         operand_cells: Dict[int, Tuple[int, int]] = {}
-        for slot in set(cone.external_slots()):
+        for slot in self._cone_reads[cone.index]:
             cell = self._slot_cell(slot, cycle, blocked_rows)
             if cell is None:
                 return False
@@ -423,8 +435,7 @@ class Scheduler:
         #    output of the cone can be written: each written member needs a
         #    bank inside its PE's window with a free register and a free write
         #    port at its commit cycle.
-        depth = cone.depth
-        block_size = 2 ** (depth - 1)
+        block_size = 2 ** (self._cone_depth[cone.index] - 1)
         placement = None
         for tree in range(config.n_trees):
             if not self._options.pack_multiple_cones and tree in trees_used:
@@ -472,7 +483,7 @@ class Scheduler:
         self._max_live = max(self._max_live, self._live_registers)
 
         # Release operand references.
-        for slot in cone.external_slots():
+        for slot in self._cone_slots[cone.index]:
             self._release_reference(slot)
         # Wake up consumer cones.
         for consumer in self._consumers[cone.index]:
@@ -539,7 +550,7 @@ class Scheduler:
         """Register-file cell currently assigned to ``slot`` (ignoring timing)."""
         if slot in self._relocated:
             return self._relocated[slot]
-        if slot < self._ops.n_inputs:
+        if slot < self._n_inputs:
             row_index, lane = self._row_of_slot.get(slot, (None, None))
             if row_index is None:
                 return None
@@ -557,8 +568,7 @@ class Scheduler:
             if self._relocate_ready[slot] > cycle:
                 return None
             return self._relocated[slot]
-        ops = self._ops
-        if slot < ops.n_inputs:
+        if slot < self._n_inputs:
             row_index, lane = self._row_of_slot[slot]
             loaded = self._loaded_rows.get(row_index)
             if loaded is None or loaded.ready_cycle > cycle:
@@ -570,18 +580,17 @@ class Scheduler:
         return self._value_location.get(slot)
 
     def _release_reference(self, slot: int) -> None:
-        ops = self._ops
         self._remaining_refs[slot] -= 1
         if self._remaining_refs[slot] > 0:
             return
-        if slot == ops.root_slot:
+        if slot == self._ops.root_slot:
             return
         if slot in self._relocated:
             bank, reg = self._relocated[slot]
             self._free_regs[bank].append(reg)
             self._live_registers -= 1
             return
-        if slot < ops.n_inputs:
+        if slot < self._n_inputs:
             row_index, _ = self._row_of_slot[slot]
             self._row_refs[row_index] -= 1
             return
@@ -600,12 +609,11 @@ class Scheduler:
         lines = [f"blocked-candidate report at cycle {cycle}:"]
         snapshot = heapq.nsmallest(5, self._candidates)
         for priority, cone_index in snapshot:
-            cone = self._graph.cones[cone_index]
             reasons = []
-            for slot in sorted(set(cone.external_slots())):
+            for slot in sorted(self._cone_reads[cone_index]):
                 cell = self._slot_cell(slot, cycle, set())
                 if cell is None:
-                    if slot < self._ops.n_inputs:
+                    if slot < self._n_inputs:
                         row_index, _ = self._row_of_slot[slot]
                         loaded = row_index in self._loaded_rows
                         reasons.append(
@@ -616,7 +624,8 @@ class Scheduler:
                         reasons.append(f"value slot {slot} not ready")
             free_regs = sum(len(regs) for regs in self._free_regs)
             lines.append(
-                f"  cone {cone_index} (priority {-priority}, depth {cone.depth}): "
+                f"  cone {cone_index} (priority {-priority}, "
+                f"depth {self._cone_depth[cone_index]}): "
                 + (", ".join(reasons) if reasons else "operands ready")
                 + f"; free intermediate registers: {free_regs}"
             )
@@ -694,13 +703,12 @@ class Scheduler:
 
     def _free_old_home(self, slot: int) -> None:
         """Release the storage a slot occupied before it was relocated."""
-        ops = self._ops
         if slot in self._relocated:
             bank, reg = self._relocated[slot]
             self._free_regs[bank].append(reg)
             self._live_registers -= 1
             return
-        if slot < ops.n_inputs:
+        if slot < self._n_inputs:
             # Future references will read the relocated copy, so the streaming
             # row no longer needs to stay resident for this slot.
             row_index, _ = self._row_of_slot[slot]

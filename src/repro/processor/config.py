@@ -26,7 +26,7 @@ The two configurations evaluated in the paper are provided as constructors:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = ["ProcessorConfig", "ptree_config", "pvect_config"]
 
@@ -73,6 +73,18 @@ class ProcessorConfig:
             raise ValueError("dmem_rows must be >= 1")
         if self.load_latency < 1 or self.pe_latency < 1:
             raise ValueError("latencies must be >= 1")
+        # Every PE's write window, computed once: the compiler and the strict
+        # simulator ask for one on each placement attempt and each write-back.
+        # Not a dataclass field, so equality, hashing and repr ignore it.
+        windows: Dict[Tuple[int, int, int], Tuple[int, ...]] = {}
+        for tree in range(self.n_trees):
+            base, _ = self.tree_bank_range(tree)
+            for level in range(self.n_levels):
+                window = min(2 ** (level + 1), self.banks_per_tree)
+                for position in range(self.pes_at_level(level)):
+                    start = base + (position * window) % self.banks_per_tree
+                    windows[tree, level, position] = tuple(range(start, start + window))
+        object.__setattr__(self, "_write_windows", windows)
 
     # ------------------------------------------------------------------ #
     # Derived structure
@@ -125,15 +137,12 @@ class ProcessorConfig:
         Leaf PEs may write to a window of 2 banks, level-1 PEs to 4 banks and
         so on, always within the tree's private slice, mirroring Fig. 3.
         """
-        self._check_tree(tree)
-        self._check_level(level)
-        n_pes = self.pes_at_level(level)
-        if not 0 <= position < n_pes:
+        window = self._write_windows.get((tree, level, position))
+        if window is None:
+            self._check_tree(tree)
+            self._check_level(level)
             raise ValueError(f"position {position} out of range for level {level}")
-        base, _ = self.tree_bank_range(tree)
-        window = min(2 ** (level + 1), self.banks_per_tree)
-        start = base + (position * window) % self.banks_per_tree
-        return [start + i for i in range(window)]
+        return list(window)
 
     def result_latency(self, cone_depth: int) -> int:
         """Cycles until the output of a cone of ``cone_depth`` levels is readable."""

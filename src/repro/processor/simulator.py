@@ -25,6 +25,7 @@ same cross-check discipline the SPN execution engines use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -388,7 +389,14 @@ class Simulator:
         if not 0 <= slot < len(expected_slots):
             raise VerificationError(f"{what} annotated with unknown slot {slot}")
         expected = float(expected_slots[slot])
-        if not np.isclose(value, expected, rtol=_RTOL, atol=_ATOL):
+        # ``np.isclose``'s own expression on two floats, without its
+        # per-call array overhead: nan is never close and an infinity is
+        # close only to itself.
+        close = (
+            abs(value - expected) <= _ATOL + _RTOL * abs(expected)
+            and math.isfinite(expected)
+        ) or value == expected
+        if not close:
             raise VerificationError(
                 f"{what} of slot {slot}: transported value {value!r} does not match "
                 f"the reference value {expected!r}"

@@ -126,6 +126,7 @@ class SPN:
         if node_id not in self._nodes:
             raise StructureError(f"root node {node_id} does not exist")
         self._root = node_id
+        self._invalidate()
 
     # ------------------------------------------------------------------ #
     # Accessors

@@ -20,11 +20,13 @@ registers:
   kernel that first reads it and freed after its last read — which is what
   shrinks the peak below ``n_inputs`` (on the deep suite networks most of
   the input vector is weight slots consumed at a single sum level).
-* An optional **fusion** pass merges runs of adjacent narrow kernels with
-  the same opcode into one gather/compute call when they are provably
-  independent, cutting Python dispatch on the deep, narrow tapes the suite
-  profiles produce (one kernel per level pair means depth ~ dispatch
-  count).
+* An optional **fusion** pass merges narrow kernels with the same opcode
+  into one gather/compute call when they are provably independent.  It
+  merges nothing on the nine suite profiles: levelization already leaves
+  one kernel per ``(level, opcode)``, each level reads the one below it,
+  and so every plan has exactly as many kernels as its tape (25 on
+  Banknote up to 173 on BBC).  It pays off only on tapes with cross-level
+  independence.
 * :func:`execute_plan` executes a planned tape over a row block, reusing a
   per-thread scratch buffer (``plan.workspace``).
 
@@ -472,12 +474,12 @@ def _fusion_groups(tape, fuse: bool, fuse_width: int) -> List[List[int]]:
     kernel is provably independent of the group (it reads none of the
     group's destinations).  A kernel that *does* read an open group's
     destinations forces that group to be emitted first, which fixes the
-    emitted order as a valid topological reordering of the tape — on the
-    deep narrow suite tapes this fuses the sum kernels of consecutive
-    levels (each reads only the product side) and roughly halves the
-    per-level Python dispatch.  The emitted order is re-verified
-    structurally before planning (:func:`plan_memory` raises on any
-    violation) and proved faithful by the static verifier.
+    emitted order as a valid topological reordering of the tape.  On the
+    nine suite tapes no two kernels fuse: each level reads the one below
+    it, so every kernel forces the open group of the other opcode out and
+    the plan keeps one kernel per tape kernel.  The emitted order is
+    re-verified structurally before planning (:func:`plan_memory` raises on
+    any violation) and proved faithful by the static verifier.
     """
     if not fuse:
         return [[i] for i in range(len(tape.kernels))]

@@ -1,7 +1,10 @@
 """Tests for the cycle-accurate simulator using small hand-written programs."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.processor.config import ptree_config, pvect_config
 from repro.processor.errors import (
@@ -85,6 +88,69 @@ class TestSingleOperation:
         program = _single_op_program(OP_MUL, config)
         result = Simulator(config).run(program, [4.0, 2.5, 0.0])
         assert result.value == pytest.approx(10.0)
+
+
+def _assert_decides_like_isclose(transported: float, expected: float) -> None:
+    """The strict check refuses ``transported`` exactly when ``np.isclose``
+    (rtol 1e-9, atol 1e-12) says it is not close to ``expected``."""
+    simulator = Simulator(ptree_config())
+    try:
+        simulator._check_value(np.array([expected]), 0, transported, "read")
+        rejected = False
+    except VerificationError:
+        rejected = True
+    assert rejected == (not np.isclose(transported, expected, rtol=1e-9, atol=1e-12))
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+#: Relative offsets around the 1e-9 tolerance, so pairs land on both sides.
+_FACTORS = st.sampled_from(
+    [1.0, 1 + 5e-10, 1 - 5e-10, 1 + 1e-9, 1 - 1e-9, 1 + 2e-9, 1 - 2e-9, -1.0]
+)
+_EDGE_PAIRS = [
+    (1 + 1e-9, 1.0),
+    (1 - 1e-9, 1.0),
+    (3.7 * (1 + 1e-9), 3.7),
+    (3.7 * (1 - 1e-9), 3.7),
+    (1e-3 * (1 + 1e-9), 1e-3),
+    (0.0, 1e-12),
+    (0.0, -1e-12),
+    (1e-12, 0.0),
+    (-1e-12, 0.0),
+    (0.0, 2e-12),
+    (0.0, -2e-12),
+    (2e-12, 0.0),
+    (-2e-12, 0.0),
+    (0.0, -0.0),
+    (5e-324, 0.0),
+    (math.inf, math.inf),
+    (-math.inf, -math.inf),
+    (math.inf, -math.inf),
+    (-math.inf, math.inf),
+    (math.nan, math.nan),
+    (math.nan, 1.0),
+    (1.0, math.nan),
+    (1.0, math.inf),
+    (math.inf, 1.0),
+    (1.7e308, math.inf),
+    (math.inf, 1.7e308),
+]
+
+
+class TestStrictValueCheck:
+    @pytest.mark.parametrize("transported,expected", _EDGE_PAIRS)
+    def test_edge_pairs_decide_like_isclose(self, transported, expected):
+        _assert_decides_like_isclose(transported, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_FLOATS, _FLOATS)
+    def test_arbitrary_pairs_decide_like_isclose(self, transported, expected):
+        _assert_decides_like_isclose(transported, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_FLOATS, _FACTORS)
+    def test_nearby_pairs_decide_like_isclose(self, expected, factor):
+        _assert_decides_like_isclose(expected * factor, expected)
 
 
 class TestPipelineSemantics:

@@ -37,6 +37,34 @@ from repro.suite.registry import benchmark_names, benchmark_operation_list
 
 _COUNTERS = ("cycles", "n_reads", "n_writes", "n_loads", "n_stores")
 
+#: Cycle counts of the Fig. 4 processor points.  They pin the schedules the
+#: compiler emits: a change that alters any program shows up here, even when
+#: it keeps fast and strict mode in agreement.
+GOLDEN_CYCLES = {
+    "Ptree": {
+        "Audio": 416,
+        "BBC": 476,
+        "Banknote": 65,
+        "Bio response": 420,
+        "CPU": 228,
+        "EEG-eye": 154,
+        "KDDCup2k": 278,
+        "MSNBC": 188,
+        "Netflix": 363,
+    },
+    "Pvect": {
+        "Audio": 489,
+        "BBC": 547,
+        "Banknote": 69,
+        "Bio response": 539,
+        "CPU": 210,
+        "EEG-eye": 149,
+        "KDDCup2k": 266,
+        "MSNBC": 181,
+        "Netflix": 360,
+    },
+}
+
 
 def _single_op_program(opcode, config):
     """Load two inputs from dmem row 0 (banks 0 and 1) and combine them."""
@@ -77,10 +105,16 @@ class TestSuiteEquivalence:
         )
         fast = Simulator(config, mode=MODE_FAST).run(kernel.program, vec)
 
+        assert strict.cycles == GOLDEN_CYCLES["Ptree"][name]
         assert fast.value == strict.value  # exact, no tolerance
         for counter in _COUNTERS:
             assert getattr(fast, counter) == getattr(strict, counter), counter
         assert fast.ops_per_cycle == strict.ops_per_cycle
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_pvect_cycles_match_golden(self, name):
+        kernel = compile_operation_list(benchmark_operation_list(name), pvect_config())
+        assert kernel.run(None, strict=True).cycles == GOLDEN_CYCLES["Pvect"][name]
 
     def test_pvect_configuration_agrees_too(self):
         ops = benchmark_operation_list("Banknote")

@@ -1,7 +1,9 @@
 """Unit tests for the SPN graph container (structure, scopes, validity)."""
 
+import numpy as np
 import pytest
 
+from repro.spn.evaluate import evaluate, evaluate_batch
 from repro.spn.graph import SPN, StructureError
 from repro.spn.nodes import SumNode
 
@@ -60,6 +62,25 @@ class TestTopologicalOrder:
         root = spn.add_sum([a, b], weights=[0.5, 0.5])
         spn.set_root(root)
         assert len(spn.topological_order()) == 3
+
+    def test_set_root_refreshes_cached_order_and_scopes(self):
+        # Moving the root after a query must not leave the first root's
+        # topological order (and scopes) behind for later queries.
+        spn = SPN()
+        a = spn.add_indicator(0, 0)
+        b = spn.add_indicator(0, 1)
+        s1 = spn.add_sum([a, b], weights=[0.25, 0.75])
+        p = spn.add_parameter(0.5)
+        s2 = spn.add_product([s1, p])
+        spn.set_root(s1)
+        assert len(spn.topological_order()) == 3
+        spn.set_root(s2)
+        assert spn.topological_order()[-1] == s2
+        assert spn.scopes()[s2] == frozenset({0})
+        assert spn.stats().n_nodes == 5
+        assert evaluate(spn, {0: 1}) == pytest.approx(0.375)
+        data = np.array([[1]])
+        assert evaluate_batch(spn, data, engine="vectorized")[0] == pytest.approx(0.375)
 
     def test_deep_chain_does_not_recurse(self):
         spn = SPN()
