@@ -6,7 +6,7 @@ is near-free and actually catches miscompiles.
 :func:`repro.experiments.sweeps.measure_static_analysis` quantifies both
 over all nine suite profiles:
 
-* **verify cost** — the structural proof (tape verifier + fused-plan
+* **verify cost** — the structural proof (tape verifier + memory-plan
   verifier, exactly what the lifecycle gates run) timed against a fresh
   linearize → compile → plan of the same networks, gated at **<= 5%** of
   compile time; the advisory abstract interpretation is timed separately

@@ -1245,7 +1245,7 @@ def measure_static_analysis() -> Dict[str, object]:
     Four facts for the ``static_analysis`` section of ``BENCH_sweeps.json``:
 
     * **verify cost vs compile cost** — for every profile, the structural
-      proof (tape verifier + fused-plan verifier) timed against a fresh
+      proof (tape verifier + memory-plan verifier) timed against a fresh
       linearize → compile → plan of the same network; the benchmark gates
       the total ratio at <= 5%, the budget that makes always-on
       load/publish gates free in practice.  Abstract interpretation is

@@ -15,11 +15,11 @@ File layout (one JSON document)::
 
     {
       "format": "repro-spn-artifact",
-      "version": 1,
+      "version": 2,
       "content_hash": "<sha256 of the canonical body encoding>",
       "body": {
         "name": ..., "model_version": ..., "n_vars": ..., "tolerance": ...,
-        "fuse": ..., "fuse_width": ..., "metadata": {...},
+        "metadata": {...},
         "spn":  <repro.spn.io.to_json document>,
         "ops":  <OperationList.to_payload document>,
         "tape": <tape_to_payload document>,
@@ -33,7 +33,9 @@ across writers.  Loading verifies the hash before reconstructing anything;
 a flipped byte raises :class:`ArtifactIntegrityError`, and a structurally
 malformed body (truncated sections, dangling references) raises
 :class:`ArtifactFormatError`.  Both derive from
-:class:`~repro.spn.graph.StructureError`.
+:class:`~repro.spn.graph.StructureError`.  Version-1 documents, which also
+record the retired kernel-fusion settings (body ``fuse``/``fuse_width``,
+plan ``n_source_kernels``/``fused``), still load; those keys are ignored.
 
 ``tolerance`` is the artifact's **shadow-validation contract**: the maximum
 absolute deviation this model is allowed to show against an incumbent on a
@@ -57,13 +59,7 @@ from ..spn.compiled import CompiledTape, tape_from_payload, tape_to_payload
 from ..spn.graph import SPN, StructureError
 from ..spn.io import from_json as spn_from_json, to_json as spn_to_json
 from ..spn.linearize import OperationList, linearize
-from ..spn.memplan import (
-    DEFAULT_FUSE_WIDTH,
-    MemoryPlan,
-    plan_from_payload,
-    plan_memory,
-    plan_to_payload,
-)
+from ..spn.memplan import MemoryPlan, plan_from_payload, plan_memory, plan_to_payload
 
 __all__ = [
     "ARTIFACT_FORMAT",
@@ -79,7 +75,9 @@ __all__ = [
 ]
 
 ARTIFACT_FORMAT = "repro-spn-artifact"
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
+#: Versions this reader loads: version 1 differs only by the fusion keys.
+_READABLE_VERSIONS = (1, ARTIFACT_VERSION)
 
 
 class ArtifactError(StructureError):
@@ -112,11 +110,10 @@ class ModelArtifact:
 
     ``tape`` already has ``plan`` adopted as its one memory plan, so
     :meth:`session` (and anything else evaluating through the tape) never
-    plans and runs exactly the plan that was built, shipped and verified;
-    ``fuse``/``fuse_width`` record how it was planned.  ``ops`` is reconstructed
-    lazily from the stored payload — cold-start latency pays only for what
-    serving actually touches (the sweep query kinds that need the
-    operation list resolve it on first use).
+    plans and runs exactly the plan that was built, shipped and verified.
+    ``ops`` is reconstructed lazily from the stored payload — cold-start
+    latency pays only for what serving actually touches (the sweep query
+    kinds that need the operation list resolve it on first use).
     """
 
     name: str
@@ -126,8 +123,6 @@ class ModelArtifact:
     plan: MemoryPlan
     n_vars: int
     tolerance: float = 0.0
-    fuse: bool = True
-    fuse_width: int = DEFAULT_FUSE_WIDTH
     metadata: dict = field(default_factory=dict)
     content_hash: str = ""
     _ops_payload: Optional[dict] = field(repr=False, default=None)
@@ -179,8 +174,6 @@ class ModelArtifact:
             "model_version": self.version,
             "n_vars": self.n_vars,
             "tolerance": self.tolerance,
-            "fuse": self.fuse,
-            "fuse_width": self.fuse_width,
             "metadata": self.metadata,
             "spn": spn_to_json(self.spn),
             "ops": self._ops_payload
@@ -202,8 +195,6 @@ def build_artifact(
     name: str,
     version: str = "1",
     tolerance: float = 0.0,
-    fuse: bool = True,
-    fuse_width: Optional[int] = None,
     metadata: Optional[dict] = None,
     ops: Optional[OperationList] = None,
 ) -> ModelArtifact:
@@ -219,7 +210,6 @@ def build_artifact(
 
     if tolerance < 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    width = DEFAULT_FUSE_WIDTH if fuse_width is None else int(fuse_width)
     # Canonicalize node ids (one io round trip: dense ids in topological
     # document order) so the packaged document is byte-stable — re-saving a
     # loaded artifact reproduces the identical body and content hash.  A
@@ -231,7 +221,7 @@ def build_artifact(
         ops = None
     ops = ops if ops is not None else linearize(spn)
     tape = compile_tape(ops)
-    plan = plan_memory(tape, fuse=fuse, fuse_width=width)
+    plan = plan_memory(tape)
     tape.adopt_plan(plan)
     n_vars = max((s.var for s in tape.inputs if s.kind == "indicator"), default=-1) + 1
     artifact = ModelArtifact(
@@ -242,8 +232,6 @@ def build_artifact(
         plan=plan,
         n_vars=n_vars,
         tolerance=float(tolerance),
-        fuse=bool(fuse),
-        fuse_width=width,
         metadata=dict(metadata or {}),
         _ops=ops,
     )
@@ -271,10 +259,10 @@ def artifact_from_payload(payload: dict) -> ModelArtifact:
         raise ArtifactFormatError(
             f"not a {ARTIFACT_FORMAT} document (format marker missing or wrong)"
         )
-    if payload.get("version") != ARTIFACT_VERSION:
+    if payload.get("version") not in _READABLE_VERSIONS:
         raise ArtifactFormatError(
             f"unsupported artifact version {payload.get('version')!r}; "
-            f"this reader supports version {ARTIFACT_VERSION}"
+            f"this reader supports versions {', '.join(map(str, _READABLE_VERSIONS))}"
         )
     body = payload.get("body")
     if not isinstance(body, dict):
@@ -304,8 +292,6 @@ def artifact_from_payload(payload: dict) -> ModelArtifact:
     try:
         n_vars = int(_body_field(body, "n_vars"))
         tolerance = float(body.get("tolerance", 0.0))
-        fuse = bool(body.get("fuse", True))
-        fuse_width = int(body.get("fuse_width", DEFAULT_FUSE_WIDTH))
     except (TypeError, ValueError):
         raise ArtifactFormatError("artifact body: malformed scalar field") from None
     name = _body_field(body, "name")
@@ -346,8 +332,6 @@ def artifact_from_payload(payload: dict) -> ModelArtifact:
         plan=plan,
         n_vars=n_vars,
         tolerance=tolerance,
-        fuse=fuse,
-        fuse_width=fuse_width,
         metadata=metadata,
         content_hash=actual,
         _ops_payload=ops_payload,

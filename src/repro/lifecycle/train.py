@@ -54,8 +54,6 @@ class TrainingJob:
     version: str = "1"
     config: LearnConfig = field(default_factory=LearnConfig)
     tolerance: float = 0.0
-    fuse: bool = True
-    fuse_width: Optional[int] = None
 
     def as_dict(self) -> dict:
         return {
@@ -70,8 +68,6 @@ class TrainingJob:
             },
             "config": self.config.as_dict(),
             "tolerance": self.tolerance,
-            "fuse": self.fuse,
-            "fuse_width": self.fuse_width,
         }
 
 
@@ -126,8 +122,6 @@ def train_artifact(job: TrainingJob) -> ModelArtifact:
         name=job.name,
         version=job.version,
         tolerance=job.tolerance,
-        fuse=job.fuse,
-        fuse_width=job.fuse_width,
         metadata=metadata,
     )
 

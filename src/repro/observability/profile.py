@@ -26,7 +26,7 @@ timing never taxes an unprofiled run.  :meth:`TapeProfiler.record` is
 thread-safe, so samples from concurrent serving workers merge into the
 same aggregate.
 
-Aggregation is by **kernel key** (tape position, opcode, fused width):
+Aggregation is by **kernel key** (tape position, opcode, width):
 :meth:`TapeProfiler.table` returns the "top kernels" rows sorted by total
 elapsed, with share-of-total columns, and :meth:`TapeProfiler.render`
 formats the ASCII table the CLI and the docs show.

@@ -419,8 +419,7 @@ class CompiledTape:
 
         Every batched pass runs this plan, with a working set of
         ``plan.n_physical`` rows instead of ``n_slots``.  It is either
-        planned here on first use (default fusion settings) or installed
-        by :meth:`adopt_plan`.
+        planned here on first use or installed by :meth:`adopt_plan`.
         """
         with self._plan_lock:
             if self._plan is None:

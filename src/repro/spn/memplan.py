@@ -1,4 +1,4 @@
-"""Memory planning for compiled tapes: liveness-based slot reuse and fusion.
+"""Memory planning for compiled tapes: liveness-based slot reuse.
 
 The source paper's central observation is that SPN inference is
 *memory-bound*: throughput on every platform is set by how much live state
@@ -20,13 +20,9 @@ registers:
   kernel that first reads it and freed after its last read — which is what
   shrinks the peak below ``n_inputs`` (on the deep suite networks most of
   the input vector is weight slots consumed at a single sum level).
-* An optional **fusion** pass merges narrow kernels with the same opcode
-  into one gather/compute call when they are provably independent.  It
-  merges nothing on the nine suite profiles: levelization already leaves
-  one kernel per ``(level, opcode)``, each level reads the one below it,
-  and so every plan has exactly as many kernels as its tape (25 on
-  Banknote up to 173 on BBC).  It pays off only on tapes with cross-level
-  independence.
+* Planned kernel ``i`` is always tape kernel ``i``, laid out over
+  physical rows: one gather/compute call per ``(level, opcode)`` kernel of
+  the levelized tape (25 on Banknote up to 173 on BBC), in tape order.
 * :func:`execute_plan` executes a planned tape over a row block, reusing a
   per-thread scratch buffer (``plan.workspace``).
 
@@ -44,7 +40,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,7 +48,6 @@ from .graph import StructureError
 from .linearize import OP_ADD, OP_MUL
 
 __all__ = [
-    "DEFAULT_FUSE_WIDTH",
     "InputEncoding",
     "PlannedKernel",
     "MemoryPlan",
@@ -61,11 +56,6 @@ __all__ = [
     "plan_from_payload",
     "execute_plan",
 ]
-
-#: Default cap on the combined width of a fused kernel.  Fusion trades a
-#: strided operand view for a gather copy, which only pays off while the
-#: per-call dispatch overhead dominates the per-element work.
-DEFAULT_FUSE_WIDTH = 128
 
 # --------------------------------------------------------------------------- #
 # Planned program representation
@@ -93,7 +83,7 @@ class InputEncoding:
 
 @dataclass(frozen=True)
 class PlannedKernel:
-    """One fused array operation over physical rows.
+    """One tape kernel's array operation over physical rows.
 
     ``dest`` is always a contiguous physical interval (the allocator hands
     every kernel one); ``arg0``/``arg1`` are physical row indices with
@@ -157,8 +147,6 @@ class MemoryPlan:
     #: then writes the root directly into the caller's output vector
     #: instead of copying it out of the buffer afterwards.
     root_direct: bool
-    n_source_kernels: int
-    fused: bool
 
     def __post_init__(self) -> None:
         self._scratch = threading.local()
@@ -198,11 +186,6 @@ class MemoryPlan:
             count=n_kernels,
         )
         self._kernel_meta = meta
-        self._all_source_slots = (
-            np.concatenate([k.source_slots for k in kernels])
-            if n_kernels and bool((meta["src"] >= 0).all())
-            else None
-        )
         # Encode records: per-group id vectors plus the concatenated row,
         # signature and (view, rows) consistency pairs.
         enc_groups: List[int] = []
@@ -296,9 +279,11 @@ class MemoryPlan:
         # the tape's canonical values.  Event time within kernel ``g``:
         # encodes land at ``3g``, reads probe at ``3g + 1``, destination
         # writes land at ``3g + 2``, the order the executor uses.
-        self._sources_identity = self._all_source_slots is not None and bool(
-            np.array_equal(
-                self._all_source_slots,
+        self._sources_identity = (
+            n_kernels > 0
+            and bool((meta["src"] >= 0).all())
+            and np.array_equal(
+                np.concatenate([k.source_slots for k in kernels]),
                 np.arange(self.n_inputs, self.n_slots, dtype=np.int64),
             )
         )
@@ -456,112 +441,27 @@ def _as_stride_slice(indices: np.ndarray) -> Optional[slice]:
     return None
 
 
-def _reads_any(kernel, dest_ranges: Sequence[Tuple[int, int]]) -> bool:
-    for args in (kernel.arg0, kernel.arg1):
-        for lo, hi in dest_ranges:
-            if bool(((args >= lo) & (args < hi)).any()):
-                return True
-    return False
-
-
-def _fusion_groups(tape, fuse: bool, fuse_width: int) -> List[List[int]]:
-    """Group kernels for fused execution (one gather/compute call each).
-
-    The tape alternates add and mul kernels level by level, so same-opcode
-    kernels are almost never *adjacent*; instead the pass keeps one open
-    candidate group per opcode and appends each kernel to its opcode's
-    group when the combined width stays within ``fuse_width`` and the
-    kernel is provably independent of the group (it reads none of the
-    group's destinations).  A kernel that *does* read an open group's
-    destinations forces that group to be emitted first, which fixes the
-    emitted order as a valid topological reordering of the tape.  On the
-    nine suite tapes no two kernels fuse: each level reads the one below
-    it, so every kernel forces the open group of the other opcode out and
-    the plan keeps one kernel per tape kernel.  The emitted order is
-    re-verified structurally before planning (:func:`plan_memory` raises on
-    any violation) and proved faithful by the static verifier.
-    """
-    if not fuse:
-        return [[i] for i in range(len(tape.kernels))]
-    groups: List[List[int]] = []
-    # op -> (kernel indices, combined width, dest ranges) of the open group.
-    open_groups: Dict[str, Tuple[List[int], int, List[Tuple[int, int]]]] = {}
-    open_order: List[str] = []  # opcodes by group opening time
-
-    def flush(op: str) -> None:
-        entry = open_groups.pop(op, None)
-        if entry is not None:
-            groups.append(entry[0])
-            open_order.remove(op)
-
-    for i, kernel in enumerate(tape.kernels):
-        # A group whose destinations this kernel reads must execute first.
-        for op in list(open_order):
-            if op != kernel.op and _reads_any(kernel, open_groups[op][2]):
-                flush(op)
-        entry = open_groups.get(kernel.op)
-        if entry is not None:
-            members, width, dests = entry
-            if width + kernel.width <= fuse_width and not _reads_any(kernel, dests):
-                members.append(i)
-                dests.append((kernel.dest_start, kernel.dest_stop))
-                open_groups[kernel.op] = (members, width + kernel.width, dests)
-                continue
-            flush(kernel.op)
-        open_groups[kernel.op] = (
-            [i],
-            kernel.width,
-            [(kernel.dest_start, kernel.dest_stop)],
-        )
-        open_order.append(kernel.op)
-    for op in list(open_order):
-        flush(op)
-    return groups
-
-
-def _check_topological(tape, groups: Sequence[Sequence[int]]) -> None:
-    """Assert the fused emission order respects every tape dependency."""
-    produced = np.zeros(tape.n_slots, dtype=bool)
-    produced[: tape.n_inputs] = True
-    for group in groups:
-        for ki in group:
-            kernel = tape.kernels[ki]
-            for args in (kernel.arg0, kernel.arg1):
-                if not produced[args].all():
-                    raise AssertionError(
-                        "kernel fusion produced an invalid schedule "
-                        f"(kernel {ki} reads an unproduced slot)"
-                    )
-        for ki in group:
-            kernel = tape.kernels[ki]
-            produced[kernel.dest_start : kernel.dest_stop] = True
-
-
-def plan_memory(
-    tape, fuse: bool = True, fuse_width: int = DEFAULT_FUSE_WIDTH
-) -> MemoryPlan:
+def plan_memory(tape) -> MemoryPlan:
     """Plan physical-slot execution for a :class:`~repro.spn.compiled.CompiledTape`.
 
-    Runs the liveness analysis at (fused-)kernel granularity — a slot is
-    live from the kernel that defines it (for inputs: the kernel that first
-    *reads* it, since inputs are encoded lazily) through the kernel that
-    last reads it, the root surviving to the end — and assigns every slot a
-    physical row via best-fit interval allocation, each kernel's dest block
-    staying one contiguous physical interval so the executor keeps its
-    slice-store fast path.  Requires a tape with at least one kernel
-    (slot-matrix execution is trivial without one; ``execute_batch``
-    answers such tapes with the dense ``execute_slots``).
+    Runs the liveness analysis at kernel granularity — a slot is live from
+    the kernel that defines it (for inputs: the kernel that first *reads*
+    it, since inputs are encoded lazily) through the kernel that last reads
+    it, the root surviving to the end — and assigns every slot a physical
+    row via best-fit interval allocation, each kernel's dest block staying
+    one contiguous physical interval so the executor keeps its slice-store
+    fast path.  Planned kernel ``i`` is tape kernel ``i``.  Requires a tape
+    with at least one kernel (slot-matrix execution is trivial without one;
+    ``execute_batch`` answers such tapes with the dense ``execute_slots``)
+    whose root some kernel computes or reads.
     """
     if not tape.kernels:
         raise ValueError("cannot plan an empty tape (no kernels)")
-    groups = _fusion_groups(tape, fuse, fuse_width)
-    if fuse:
-        _check_topological(tape, groups)
     n_slots = tape.n_slots
     n_inputs = tape.n_inputs
-    n_groups = len(groups)
+    n_kernels = len(tape.kernels)
 
-    # Broadcast-constant operands: when every lane of a group's arg0 (or
+    # Broadcast-constant operands: when every lane of a kernel's arg0 (or
     # arg1) is a constant input read nowhere else, the values travel as a
     # (width, 1) column broadcast across the batch instead of materialized
     # rows — the ``weight * child`` lanes of every weighted sum.
@@ -575,14 +475,10 @@ def plan_memory(
     for kernel in tape.kernels:
         np.add.at(total_reads, kernel.arg0, 1)
         np.add.at(total_reads, kernel.arg1, 1)
-    group_args: List[Tuple[np.ndarray, np.ndarray]] = []
     broadcast: List[Tuple[bool, bool]] = []
-    for group in groups:
-        arg0v = np.concatenate([tape.kernels[ki].arg0 for ki in group])
-        arg1v = np.concatenate([tape.kernels[ki].arg1 for ki in group])
-        group_args.append((arg0v, arg1v))
+    for kernel in tape.kernels:
         flags = []
-        for args in (arg0v, arg1v):
+        for args in (kernel.arg0, kernel.arg1):
             ok = bool(is_const[args].all())
             if ok:
                 occurrences = np.bincount(args, minlength=n_slots)[args]
@@ -590,34 +486,29 @@ def plan_memory(
             flags.append(ok)
         broadcast.append((flags[0], flags[1]))
 
-    # Liveness at fused-kernel granularity.  first_use/last_use are fused
-    # indices; -1 marks a slot never read (dead inputs are never encoded,
-    # dead op slots still occupy their kernel's dest interval but free
-    # immediately afterwards).  Broadcast operand lanes do not count as
-    # reads: their slots are never materialized.
+    # Liveness.  first_use/last_use are kernel indices; -1 marks a slot
+    # never read (dead inputs are never encoded, dead op slots still occupy
+    # their kernel's dest interval but free immediately afterwards).
+    # Broadcast operand lanes do not count as reads: their slots are never
+    # materialized.
     first_use = np.full(n_slots, -1, dtype=np.int64)
     last_use = np.full(n_slots, -1, dtype=np.int64)
-    defined_at = np.full(n_slots, -1, dtype=np.int64)
-    for gi, group in enumerate(groups):
-        for ki in group:
-            kernel = tape.kernels[ki]
-            defined_at[kernel.dest_start : kernel.dest_stop] = gi
-        bc0, bc1 = broadcast[gi]
-        for args, skip in ((group_args[gi][0], bc0), (group_args[gi][1], bc1)):
+    for ki, kernel in enumerate(tape.kernels):
+        for args, skip in zip((kernel.arg0, kernel.arg1), broadcast[ki]):
             if skip:
                 continue
             fresh = first_use[args] < 0
             if fresh.any():
-                first_use[args[fresh]] = gi
-            last_use[args] = gi
-    last_use[tape.root_slot] = n_groups  # the root survives the whole run
+                first_use[args[fresh]] = ki
+            last_use[args] = ki
+    last_use[tape.root_slot] = n_kernels  # the root survives the whole run
 
-    inputs_by_group: Dict[int, List[int]] = {}
+    inputs_by_kernel: Dict[int, List[int]] = {}
     for slot in range(n_inputs):
         if first_use[slot] >= 0:
-            inputs_by_group.setdefault(int(first_use[slot]), []).append(slot)
+            inputs_by_kernel.setdefault(int(first_use[slot]), []).append(slot)
 
-    expire: List[List[Tuple[int, int]]] = [[] for _ in range(n_groups + 1)]
+    expire: List[List[Tuple[int, int]]] = [[] for _ in range(n_kernels + 1)]
 
     allocator = _FreeIntervals()
     phys_of = np.full(n_slots, -1, dtype=np.intp)
@@ -625,16 +516,26 @@ def plan_memory(
     in_use = 0
     max_live = 0
     planned: List[PlannedKernel] = []
+    empty = np.empty(0, dtype=np.intp)
 
-    for gi, group in enumerate(groups):
+    def _operand(args: np.ndarray, bc: bool):
+        if bc:
+            column = const_prob[args].reshape(-1, 1)
+            with np.errstate(divide="ignore"):
+                log_column = np.log(column)
+            return empty, None, column, log_column
+        rows = phys_of[args].astype(np.intp, copy=False)
+        return rows, _as_stride_slice(rows), None, None
+
+    for ki, kernel in enumerate(tape.kernels):
         # 1. Retire slots whose last read was the previous kernel.
-        for start, width in expire[gi]:
+        for start, width in expire[ki]:
             allocator.free(start, width)
             in_use -= width
         # 2. Materialize the inputs this kernel reads first, as one
         #    contiguous interval in slot order.
         encode = None
-        fresh_inputs = inputs_by_group.get(gi, [])
+        fresh_inputs = inputs_by_kernel.get(ki, [])
         if fresh_inputs:
             base = allocator.alloc(len(fresh_inputs))
             in_use += len(fresh_inputs)
@@ -653,7 +554,7 @@ def plan_memory(
                 else:
                     const_rows.append(base + offset)
                     const_probs.append(spec.prob)
-            _queue_expiry(expire, fresh_inputs, last_use, phys_of, default_last=gi)
+            _queue_expiry(expire, fresh_inputs, last_use, phys_of, default_last=ki)
             const_probs_arr = np.array(const_probs, dtype=np.float64)
             with np.errstate(divide="ignore"):
                 const_logs = np.log(const_probs_arr)
@@ -669,38 +570,19 @@ def plan_memory(
                 const_log_probs=const_logs,
                 const_slice=_as_stride_slice(const_rows_arr),
             )
-        # 3. Allocate this kernel's dest interval and emit the fused kernel.
-        width = sum(tape.kernels[ki].width for ki in group)
+        # 3. Allocate this kernel's dest interval and emit the planned kernel.
+        width = kernel.width
         dest = allocator.alloc(width)
         in_use += width
-        offset = dest
-        source_slots: List[int] = []
-        for ki in group:
-            kernel = tape.kernels[ki]
-            for slot in range(kernel.dest_start, kernel.dest_stop):
-                phys_of[slot] = offset
-                source_slots.append(slot)
-                offset += 1
-        dest_slots = np.array(source_slots, dtype=np.intp)
-        _queue_expiry(expire, source_slots, last_use, phys_of, default_last=gi)
-        arg0v, arg1v = group_args[gi]
-        bc0, bc1 = broadcast[gi]
-        empty = np.empty(0, dtype=np.intp)
-
-        def _operand(args: np.ndarray, bc: bool):
-            if bc:
-                column = const_prob[args].reshape(-1, 1)
-                with np.errstate(divide="ignore"):
-                    log_column = np.log(column)
-                return empty, None, column, log_column
-            rows = phys_of[args].astype(np.intp, copy=False)
-            return rows, _as_stride_slice(rows), None, None
-
-        arg0, arg0_slice, const0, const0_log = _operand(arg0v, bc0)
-        arg1, arg1_slice, const1, const1_log = _operand(arg1v, bc1)
+        dest_slots = range(kernel.dest_start, kernel.dest_stop)
+        phys_of[kernel.dest_start : kernel.dest_stop] = np.arange(dest, dest + width)
+        _queue_expiry(expire, dest_slots, last_use, phys_of, default_last=ki)
+        bc0, bc1 = broadcast[ki]
+        arg0, arg0_slice, const0, const0_log = _operand(kernel.arg0, bc0)
+        arg1, arg1_slice, const1, const1_log = _operand(kernel.arg1, bc1)
         planned.append(
             PlannedKernel(
-                op=tape.kernels[group[0]].op,
+                op=kernel.op,
                 dest_start=dest,
                 dest_stop=dest + width,
                 arg0=arg0,
@@ -712,14 +594,18 @@ def plan_memory(
                 const_arg0_log=const0_log,
                 const_arg1=const1,
                 const_arg1_log=const1_log,
-                source_slots=dest_slots,
+                source_slots=np.arange(kernel.dest_start, kernel.dest_stop, dtype=np.intp),
             )
         )
         max_live = max(max_live, in_use)
 
-    final = planned[-1]
     root_phys = int(phys_of[tape.root_slot])
-    root_direct = final.width == 1 and final.dest_start == root_phys
+    if root_phys < 0:
+        raise ValueError(
+            f"cannot plan a tape whose root slot {tape.root_slot} no kernel "
+            "computes or reads"
+        )
+    final = planned[-1]
     return MemoryPlan(
         kernels=planned,
         n_physical=allocator.high_water,
@@ -727,9 +613,7 @@ def plan_memory(
         n_slots=n_slots,
         n_inputs=n_inputs,
         root_phys=root_phys,
-        root_direct=root_direct,
-        n_source_kernels=len(tape.kernels),
-        fused=fuse,
+        root_direct=final.width == 1 and final.dest_start == root_phys,
     )
 
 
@@ -809,8 +693,6 @@ def plan_to_payload(plan: MemoryPlan) -> dict:
         "n_inputs": plan.n_inputs,
         "root_phys": plan.root_phys,
         "root_direct": plan.root_direct,
-        "n_source_kernels": plan.n_source_kernels,
-        "fused": plan.fused,
     }
 
 
@@ -827,7 +709,9 @@ def plan_from_payload(payload: dict) -> MemoryPlan:
     Every physical-row reference is checked against the recorded buffer
     height and every source slot against the recorded tape length, so a
     corrupted plan raises :class:`~repro.spn.graph.StructureError` at load
-    time rather than an out-of-bounds gather at serve time.
+    time rather than an out-of-bounds gather at serve time.  The
+    ``n_source_kernels`` and ``fused`` keys that older documents carry are
+    ignored.
     """
     if not isinstance(payload, dict):
         raise StructureError("plan section: expected a dict")
@@ -837,9 +721,7 @@ def plan_from_payload(payload: dict) -> MemoryPlan:
     n_slots = _payload_int(payload, "n_slots", context)
     n_inputs = _payload_int(payload, "n_inputs", context)
     root_phys = _payload_int(payload, "root_phys", context)
-    n_source_kernels = _payload_int(payload, "n_source_kernels", context)
     root_direct = bool(payload.get("root_direct", False))
-    fused = bool(payload.get("fused", True))
     if n_physical < 1 or not 0 <= root_phys < n_physical:
         raise StructureError(f"{context}: root_phys {root_phys} out of range")
     records = payload.get("kernels")
@@ -973,8 +855,6 @@ def plan_from_payload(payload: dict) -> MemoryPlan:
         n_inputs=n_inputs,
         root_phys=root_phys,
         root_direct=root_direct,
-        n_source_kernels=n_source_kernels,
-        fused=fused,
     )
 
 

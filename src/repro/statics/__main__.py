@@ -1,10 +1,11 @@
 """Command-line front end for the static verification layer.
 
 ``python -m repro.statics verify`` statically verifies compiled tapes and
-memory plans — by default every suite profile (tape + fused and unfused
-plans) plus the abstract-interpretation facts; ``--artifact`` verifies a
-saved AOT artifact instead.  ``python -m repro.statics lint [PATHS...]``
-runs the project lint (default: the installed ``repro`` package source).
+memory plans — by default every suite profile (the tape alone, then the
+tape with its one memory plan) plus the abstract-interpretation facts;
+``--artifact`` verifies a saved AOT artifact instead.
+``python -m repro.statics lint [PATHS...]`` runs the project lint
+(default: the installed ``repro`` package source).
 Both exit nonzero on any failure/finding, which is how CI consumes them.
 """
 
@@ -28,13 +29,12 @@ def _power_of_two(value: float) -> str:
     return f"2^{math.log2(value):.2f}"
 
 
-def _verify_one(label: str, tape, plans) -> bool:
-    """Verify one tape against each plan; print a one-line verdict."""
+def _verify_one(label: str, tape, plan) -> bool:
+    """Verify one tape alone and against its plan; print a one-line verdict."""
     started = time.perf_counter()
     try:
         tape_facts, _ = verify_compiled(tape, None)  # dense-executor contract
-        for plan in plans:
-            verify_compiled(tape, plan)
+        verify_compiled(tape, plan)
     except VerificationError as exc:
         print(f"FAIL {label}: {exc}")
         return False
@@ -42,7 +42,7 @@ def _verify_one(label: str, tape, plans) -> bool:
     elapsed = (time.perf_counter() - started) * 1e3
     facts = (
         f"kernels={tape_facts.n_kernels} slots={tape.n_slots} "
-        f"plans={len(plans)} proves_log<=0={analysis.proves_log_nonpositive} "
+        f"physical={plan.n_physical} proves_log<=0={analysis.proves_log_nonpositive} "
         f"underflow_risk={analysis.underflow_risk} "
         f"linear_floor={_power_of_two(analysis.linear_floor)}"
     )
@@ -63,16 +63,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 failures += 1
                 continue
             label = f"{artifact.name}@{artifact.version} ({path})"
-            if not _verify_one(label, artifact.tape, [artifact.plan]):
+            if not _verify_one(label, artifact.tape, artifact.plan):
                 failures += 1
     else:
-        from ..spn.memplan import plan_memory
         from ..suite.registry import benchmark_names, benchmark_tape
 
         for name in benchmark_names():
             tape = benchmark_tape(name)
-            plans = [tape.memory_plan(), plan_memory(tape, fuse=False)]
-            if not _verify_one(name, tape, plans):
+            if not _verify_one(name, tape, tape.memory_plan()):
                 failures += 1
     if failures:
         print(f"{failures} verification failure(s)")

@@ -29,10 +29,11 @@ Tape (:func:`verify_tape`)
 Plan (:func:`verify_memory_plan`) — the heart of the verifier.  The plan is
 an independently shipped artifact section, so nothing it claims is trusted:
     * ``plan-shape-mismatch`` / ``plan-scalar-range`` — recorded shape
-      scalars agree with the tape and with each other;
-    * ``plan-coverage`` / ``plan-group-structure`` — the planned kernels'
-      ``source_slots`` partition the tape's operation slots into whole
-      same-opcode kernel runs (the fusion grouping is re-derived from them);
+      scalars agree with the tape and with each other, and the plan has
+      exactly one planned kernel per tape kernel;
+    * ``plan-group-structure`` / ``plan-coverage`` — planned kernel ``i``
+      carries tape kernel ``i``'s opcode and width, and its
+      ``source_slots`` are exactly tape kernel ``i``'s destination slots;
     * ``plan-slice-mismatch`` — precomputed strided views match their row
       arrays (the executor prefers the view; a diverging view would execute
       a different program than the one verified);
@@ -48,10 +49,10 @@ an independently shipped artifact section, so nothing it claims is trusted:
       reordered kernels and slot interference (two simultaneously live
       values sharing a physical row) all surface here: a clobbered or
       not-yet-written row cannot contain the demanded value.
-    * ``plan-liveness`` — liveness is re-derived from the tape's dataflow at
-      the plan's own kernel granularity (mirroring the allocator's
-      retire/materialize/allocate accounting, but computed from scratch) and
-      the resulting peak must equal the plan's recorded ``max_live``.
+    * ``plan-liveness`` — liveness is re-derived from the tape's dataflow
+      (mirroring the allocator's retire/materialize/allocate accounting,
+      but computed from scratch) and the resulting peak must equal the
+      plan's recorded ``max_live``.
 
 Value-equivalent input slots (two weight slots carrying the same
 probability, two indicator slots testing the same variable/value) are
@@ -66,8 +67,8 @@ number of array operations rather than Python work per kernel — the
 5% of compile time.  The moment any vector check trips, verification
 re-runs the equivalent straight-line Python walk (`_verify_tape_slow`,
 `_verify_memory_plan_general`) to pinpoint the offending kernel and lane
-with an exact message; plans whose ``source_slots`` are not the identity
-layout every real allocator emits take the same exhaustive walk.  Both
+with an exact message; plans whose concatenated ``source_slots`` are not
+the tape's operation slots in order take the same exhaustive walk.  Both
 paths enforce identical rules — the fast path is never the only judge of a
 violation's details, and the slow path is never skipped when a precise
 diagnosis is needed.
@@ -134,8 +135,6 @@ class PlanFacts:
     n_kernels: int
     n_physical: int
     max_live: int
-    #: Tape kernels per planned kernel, averaged (1.0 = unfused).
-    fusion: float
     #: Input slots materialized lazily via encode records.
     n_encoded_inputs: int
     #: Operand lanes carried as broadcast constant columns.
@@ -535,47 +534,21 @@ def _slice_rows(view: Optional[slice], rows: np.ndarray, what: str, context: str
 # --------------------------------------------------------------------------- #
 # Plan verification
 # --------------------------------------------------------------------------- #
-def _verify_memory_plan_general(tape, plan, all_sources: np.ndarray) -> PlanFacts:
-    """The exhaustive per-kernel walk over an arbitrary source layout.
+def _verify_memory_plan_general(tape, plan) -> PlanFacts:
+    """The exhaustive per-kernel walk, for exact diagnosis.
 
-    Handles every legal plan (including ones whose ``source_slots`` are not
-    the identity permutation) and produces precise per-lane diagnoses; the
-    identity fast path delegates here whenever the layout is unusual or a
-    vector check needs an exact error message.
+    Handles any plan object (including one whose ``source_slots`` do not
+    follow the tape) and produces precise per-lane diagnoses; the
+    vectorized path delegates here whenever the layout is unusual or a
+    vector check needs an exact error message.  The caller has checked
+    that the plan has one planned kernel per tape kernel.
     """
     n_inputs = tape.n_inputs
     n_slots = tape.n_slots
     n_physical = plan.n_physical
 
-    counts = (
-        np.bincount(all_sources, minlength=n_slots)
-        if all_sources.size
-        else np.zeros(n_slots, dtype=np.int64)
-    )
-    if all_sources.size and (
-        int(all_sources.min()) < n_inputs or int(all_sources.max()) >= n_slots
-    ):
-        _fail("plan-coverage", "a planned kernel claims to compute an input slot")
-    bad = np.flatnonzero(counts[n_inputs:] != 1)
-    if bad.size:
-        slot = int(bad[0]) + n_inputs
-        _fail(
-            "plan-coverage",
-            f"operation slot {slot} is computed {int(counts[slot])} times "
-            "(every operation slot must be computed exactly once)",
-        )
-
-    # --- re-derive the fusion grouping from source_slots ------------------- #
-    # Tape kernel owning each operation slot, for decomposing each planned
-    # kernel's source run into whole source-kernel destination intervals.
-    owner = np.empty(n_slots - n_inputs, dtype=np.int64)
-    for ki, kernel in enumerate(tape.kernels):
-        owner[kernel.dest_start - n_inputs : kernel.dest_stop - n_inputs] = ki
-
-    members_of: List[List[int]] = []
-    group_args: List[Tuple[np.ndarray, np.ndarray]] = []
     n_broadcast_lanes = 0
-    for gi, planned in enumerate(plan.kernels):
+    for gi, (planned, kernel) in enumerate(zip(plan.kernels, tape.kernels)):
         context = f"plan kernel {gi}"
         if planned.op not in (OP_ADD, OP_MUL):
             _fail("plan-group-structure", f"{context}: unknown opcode {planned.op!r}")
@@ -586,44 +559,20 @@ def _verify_memory_plan_general(tape, plan, all_sources: np.ndarray) -> PlanFact
                 f"{context}: destination [{planned.dest_start}, {planned.dest_stop}) "
                 f"outside the {n_physical}-row buffer",
             )
-        sources = planned.source_slots
-        if sources.size != width:
+        if planned.op != kernel.op or width != kernel.width:
             _fail(
                 "plan-group-structure",
-                f"{context}: {sources.size} source slots for width {width}",
+                f"{context}: a {planned.op!r} kernel of width {width}, but tape "
+                f"kernel {gi} is a {kernel.op!r} kernel of width {kernel.width}",
             )
-        members: List[int] = []
-        position = 0
-        while position < sources.size:
-            slot = int(sources[position])
-            source_kernel = tape.kernels[int(owner[slot - n_inputs])]
-            run = source_kernel.dest_stop - source_kernel.dest_start
-            if slot != source_kernel.dest_start or not np.array_equal(
-                sources[position : position + run],
-                np.arange(slot, slot + run, dtype=sources.dtype),
-            ):
-                _fail(
-                    "plan-group-structure",
-                    f"{context}: source slots at offset {position} do not form a "
-                    "whole tape-kernel destination run",
-                )
-            if source_kernel.op != planned.op:
-                _fail(
-                    "plan-group-structure",
-                    f"{context}: fuses a {source_kernel.op!r} kernel into a "
-                    f"{planned.op!r} group",
-                )
-            members.append(int(owner[slot - n_inputs]))
-            position += run
-        if not plan.fused and len(members) != 1:
+        if not np.array_equal(
+            planned.source_slots, np.arange(kernel.dest_start, kernel.dest_stop)
+        ):
             _fail(
-                "plan-group-structure",
-                f"{context}: {len(members)} fused kernels in an unfused plan",
+                "plan-coverage",
+                f"{context}: source slots are not tape kernel {gi}'s destination "
+                f"slots [{kernel.dest_start}, {kernel.dest_stop})",
             )
-        members_of.append(members)
-        arg0 = np.concatenate([tape.kernels[ki].arg0 for ki in members])
-        arg1 = np.concatenate([tape.kernels[ki].arg1 for ki in members])
-        group_args.append((arg0, arg1))
         for const in (planned.const_arg0, planned.const_arg1):
             if const is not None:
                 n_broadcast_lanes += width
@@ -633,11 +582,11 @@ def _verify_memory_plan_general(tape, plan, all_sources: np.ndarray) -> PlanFact
     first_use = np.full(n_slots, -1, dtype=np.int64)
     last_use = np.full(n_slots, -1, dtype=np.int64)
     placed_at = np.full(n_slots, -1, dtype=np.int64)
-    for gi, planned in enumerate(plan.kernels):
-        placed_at[planned.source_slots] = gi
+    for gi, (planned, kernel) in enumerate(zip(plan.kernels, tape.kernels)):
+        placed_at[kernel.dest_start : kernel.dest_stop] = gi
         for args, const in (
-            (group_args[gi][0], planned.const_arg0),
-            (group_args[gi][1], planned.const_arg1),
+            (kernel.arg0, planned.const_arg0),
+            (kernel.arg1, planned.const_arg1),
         ):
             if const is not None:  # broadcast lanes are never materialized
                 continue
@@ -667,7 +616,7 @@ def _verify_memory_plan_general(tape, plan, all_sources: np.ndarray) -> PlanFact
     canon, lookup, is_const, const_prob = _canonical_inputs(tape, n_slots)
     content = np.full(n_physical, -1, dtype=np.int64)
     n_encoded_inputs = 0
-    for gi, planned in enumerate(plan.kernels):
+    for gi, (planned, kernel) in enumerate(zip(plan.kernels, tape.kernels)):
         context = f"plan kernel {gi}"
         arriving: List[int] = []
         if planned.encode is not None:
@@ -710,8 +659,8 @@ def _verify_memory_plan_general(tape, plan, all_sources: np.ndarray) -> PlanFact
             )
         width = planned.dest_stop - planned.dest_start
         for name, rows, view, const, args in (
-            ("arg0", planned.arg0, planned.arg0_slice, planned.const_arg0, group_args[gi][0]),
-            ("arg1", planned.arg1, planned.arg1_slice, planned.const_arg1, group_args[gi][1]),
+            ("arg0", planned.arg0, planned.arg0_slice, planned.const_arg0, kernel.arg0),
+            ("arg1", planned.arg1, planned.arg1_slice, planned.const_arg1, kernel.arg1),
         ):
             if const is not None:
                 column = const.ravel()
@@ -782,7 +731,6 @@ def _verify_memory_plan_general(tape, plan, all_sources: np.ndarray) -> PlanFact
         n_kernels=n_groups,
         n_physical=n_physical,
         max_live=plan.max_live,
-        fusion=len(tape.kernels) / n_groups,
         n_encoded_inputs=n_encoded_inputs,
         n_broadcast_lanes=n_broadcast_lanes,
     )
@@ -791,23 +739,21 @@ def _verify_memory_plan_general(tape, plan, all_sources: np.ndarray) -> PlanFact
 def _verify_memory_plan_identity(tape, plan, n_inputs: int, n_slots: int) -> PlanFacts:
     """Vectorized verification of the identity source layout.
 
-    Every real allocator emits planned kernels whose concatenated
-    ``source_slots`` are exactly ``n_inputs..n_slots`` in order (fusion only
-    merges *adjacent* runs).  For that layout every rule reduces to
-    whole-array passes; any violation that needs a per-lane diagnosis
-    delegates to :func:`_verify_memory_plan_general` for the message.
+    The planner emits planned kernels whose concatenated ``source_slots``
+    are exactly ``n_inputs..n_slots`` in order.  For that layout every
+    rule reduces to whole-array passes; any violation that needs a
+    per-lane diagnosis delegates to :func:`_verify_memory_plan_general`
+    for the message.
     """
     n_ops = n_slots - n_inputs
     n_physical = plan.n_physical
     groups = plan.kernels
     ng = len(groups)
-    nk = len(tape.kernels)
 
     def _exact() -> PlanFacts:
-        all_sources = np.arange(n_inputs, n_slots, dtype=np.int64)
-        return _verify_memory_plan_general(tape, plan, all_sources)
+        return _verify_memory_plan_general(tape, plan)
 
-    # --- group structure, vectorized --------------------------------------- #
+    # --- kernel structure, vectorized -------------------------------------- #
     # The plan constructor precomputed every per-kernel scalar and
     # concatenation this path needs (``MemoryPlan.__post_init__``); a plan
     # object lacking them — or whose kernel list was mutated in place after
@@ -840,13 +786,19 @@ def _verify_memory_plan_identity(tape, plan, n_inputs: int, n_slots: int) -> Pla
             f"{int(g_width[gi])}",
         )
     t_rec = getattr(tape, "_statics_krec", None)
-    if t_rec is None or t_rec.size != nk:
+    if t_rec is None or t_rec.size != ng:
         t_rec = np.fromiter(
             ((k.dest_stop, k.op == OP_MUL) for k in tape.kernels),
             dtype=[("stop", np.int64), ("mul", bool)],
-            count=nk,
+            count=ng,
         )
-    t_is_mul = t_rec["mul"]
+    # The tape already passed verify_tape, so destinations are contiguous
+    # from n_inputs and dest_stop alone yields each tape kernel's width.
+    # Planned kernel i must be tape kernel i: same opcode, same width (the
+    # identity layout then makes its source slots tape kernel i's).
+    t_width = np.diff(t_rec["stop"], prepend=n_inputs)
+    if not (np.array_equal(g_width, t_width) and np.array_equal(g_is_mul, t_rec["mul"])):
+        return _exact()
     # Plan-only replay geometry, precomputed by the constructor alongside
     # the kernel metadata above (same trust argument, same staleness
     # canaries: shape disagreements take the exhaustive walk).
@@ -863,7 +815,7 @@ def _verify_memory_plan_identity(tape, plan, n_inputs: int, n_slots: int) -> Pla
         period,
         pack,
         lane_group,
-        g_bounds,
+        _,
         write_order,
         sorted_write_base,
         lane_c0,
@@ -873,28 +825,6 @@ def _verify_memory_plan_identity(tape, plan, n_inputs: int, n_slots: int) -> Pla
         read_rows,
         read_base,
     ) = replay
-    # The tape already passed verify_tape, so destinations are contiguous
-    # from n_inputs and dest_stop alone yields the kernel boundaries.
-    t_bounds = np.concatenate([[0], t_rec["stop"] - n_inputs])
-    # Every group boundary must land on a tape-kernel boundary: groups fuse
-    # whole adjacent kernels or they are not the identity layout's grouping.
-    pos = np.searchsorted(t_bounds, g_bounds)
-    if (
-        g_bounds[-1] != n_ops
-        or pos[-1] >= t_bounds.size
-        or not np.array_equal(t_bounds[pos], g_bounds)
-    ):
-        return _exact()
-    members = np.diff(pos)  # tape kernels fused into each group
-    if not plan.fused and (members != 1).any():
-        gi = int(np.argmax(members != 1))
-        _fail(
-            "plan-group-structure",
-            f"plan kernel {gi}: {int(members[gi])} fused kernels in an unfused plan",
-        )
-    kernel_group = np.repeat(np.arange(ng), members)
-    if (t_is_mul != g_is_mul[kernel_group]).any():
-        return _exact()
     n_broadcast_lanes = int((g_width * (has_c0.astype(np.int64) + has_c1)).sum())
 
     # --- lane vectors ------------------------------------------------------- #
@@ -1146,7 +1076,6 @@ def _verify_memory_plan_identity(tape, plan, n_inputs: int, n_slots: int) -> Pla
         n_kernels=ng,
         n_physical=n_physical,
         max_live=plan.max_live,
-        fusion=nk / ng,
         n_encoded_inputs=n_encoded_inputs,
         n_broadcast_lanes=n_broadcast_lanes,
     )
@@ -1164,13 +1093,13 @@ def verify_memory_plan(tape, plan) -> PlanFacts:
     if (
         plan.n_slots != n_slots
         or plan.n_inputs != n_inputs
-        or plan.n_source_kernels != len(tape.kernels)
+        or len(plan.kernels) != len(tape.kernels)
     ):
         _fail(
             "plan-shape-mismatch",
             f"plan describes {plan.n_inputs}+{plan.n_slots - plan.n_inputs} slots "
-            f"over {plan.n_source_kernels} source kernels; tape has "
-            f"{n_inputs}+{n_slots - n_inputs} slots over {len(tape.kernels)} kernels",
+            f"in {len(plan.kernels)} kernels; tape has "
+            f"{n_inputs}+{n_slots - n_inputs} slots in {len(tape.kernels)} kernels",
         )
     n_physical = plan.n_physical
     if n_physical < 1 or n_physical > n_slots:
@@ -1191,21 +1120,13 @@ def verify_memory_plan(tape, plan) -> PlanFacts:
     if not plan.kernels:
         _fail("plan-scalar-range", "plan has no kernels")
 
-    # The identity layout (the only one real allocators emit — fusion merges
-    # adjacent runs, never reorders) trivially satisfies plan-coverage and
-    # admits whole-array checks for everything else.  The constructor
-    # precomputed the flag against the plan's own slot counts, which the
-    # shape check above proved equal to the tape's.
-    if tape.kernels and getattr(plan, "_sources_identity", False):
+    # The identity layout (the one the planner emits: tape order, one
+    # planned kernel per tape kernel) admits whole-array checks for every
+    # rule.  The constructor precomputed the flag against the plan's own
+    # slot counts, which the shape check above proved equal to the tape's.
+    if getattr(plan, "_sources_identity", False):
         return _verify_memory_plan_identity(tape, plan, n_inputs, n_slots)
-    all_sources = getattr(plan, "_all_source_slots", None)
-    if all_sources is None:
-        all_sources = np.concatenate([k.source_slots for k in plan.kernels])
-    if tape.kernels and np.array_equal(
-        all_sources, np.arange(n_inputs, n_slots, dtype=all_sources.dtype)
-    ):
-        return _verify_memory_plan_identity(tape, plan, n_inputs, n_slots)
-    return _verify_memory_plan_general(tape, plan, all_sources)
+    return _verify_memory_plan_general(tape, plan)
 
 
 def verify_compiled(tape, plan=None) -> Tuple[TapeFacts, Optional[PlanFacts]]:

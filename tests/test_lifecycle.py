@@ -90,6 +90,46 @@ def _rehashed(doc: dict) -> dict:
     return doc
 
 
+def _version_1_document(artifact, fuse: bool = True, fuse_width: int = 128) -> dict:
+    """The artifact as a version-1 writer stored it: the same document plus
+    the retired kernel-fusion settings (the plan's ``fused`` copies
+    ``fuse``), rehashed."""
+    doc = _document(artifact)
+    doc["version"] = 1
+    doc["body"].update(fuse=fuse, fuse_width=fuse_width)
+    doc["body"]["plan"].update(
+        n_source_kernels=len(doc["body"]["plan"]["kernels"]), fused=fuse
+    )
+    return _rehashed(doc)
+
+
+def _assert_serves_only_its_plan(loaded, monkeypatch) -> None:
+    """Serving a query on ``loaded`` plans nothing and executes only the
+    plan it shipped (and that load verified)."""
+    import repro.spn.compiled as compiled
+    from repro.api import LogLikelihood
+    from repro.spn.memplan import MemoryPlan
+
+    planned, executed = [], []
+    plan_memory, workspace = compiled.plan_memory, MemoryPlan.workspace
+
+    def counting_plan_memory(*args, **kwargs):
+        planned.append(args)
+        return plan_memory(*args, **kwargs)
+
+    def recording_workspace(plan, n_rows):
+        executed.append(plan)
+        return workspace(plan, n_rows)
+
+    monkeypatch.setattr(compiled, "plan_memory", counting_plan_memory)
+    monkeypatch.setattr(MemoryPlan, "workspace", recording_workspace)
+    evidence = golden_evidence(loaded.n_vars)
+    loaded.session().run(LogLikelihood(evidence=evidence))
+    assert planned == []
+    assert executed and all(plan is loaded.plan for plan in executed)
+    assert loaded.tape.memory_plan() is loaded.plan
+
+
 # --------------------------------------------------------------------- #
 # Artifact round-trip: bit-identity across profiles and query kinds
 # --------------------------------------------------------------------- #
@@ -115,37 +155,24 @@ class TestArtifactRoundTrip:
         assert session.tape is loaded.tape
         assert loaded.tape.memory_plan() is loaded.plan
 
+    def test_loaded_artifact_runs_only_the_shipped_plan(self, tmp_path, monkeypatch):
+        """A loaded artifact runs the plan it shipped (and that load
+        verified) — serving a query after load plans nothing."""
+        artifact = build_artifact(_small_spn(), name="m")
+        loaded = load_artifact(save_artifact(artifact, tmp_path / "m.json"))
+        _assert_serves_only_its_plan(loaded, monkeypatch)
+
     @pytest.mark.parametrize("options", [{"fuse": False}, {"fuse_width": 64}])
     def test_non_default_fusion_runs_the_shipped_plan(
         self, options, tmp_path, monkeypatch
     ):
-        """Regression: an artifact planned with non-default fusion settings
-        runs the plan it shipped (and that load verified) — serving a query
-        after load plans nothing."""
-        import repro.spn.compiled as compiled
-        from repro.api import LogLikelihood
-        from repro.spn.memplan import MemoryPlan
-
-        artifact = build_artifact(_small_spn(), name="m", **options)
-        loaded = load_artifact(save_artifact(artifact, tmp_path / "m.json"))
-        planned, executed = [], []
-        plan_memory, workspace = compiled.plan_memory, MemoryPlan.workspace
-
-        def counting_plan_memory(*args, **kwargs):
-            planned.append(args)
-            return plan_memory(*args, **kwargs)
-
-        def recording_workspace(plan, n_rows):
-            executed.append(plan)
-            return workspace(plan, n_rows)
-
-        monkeypatch.setattr(compiled, "plan_memory", counting_plan_memory)
-        monkeypatch.setattr(MemoryPlan, "workspace", recording_workspace)
-        evidence = golden_evidence(loaded.n_vars)
-        loaded.session().run(LogLikelihood(evidence=evidence))
-        assert planned == []
-        assert executed and all(plan is loaded.plan for plan in executed)
-        assert loaded.tape.memory_plan() is loaded.plan
+        """Regression: a version-1 artifact that recorded non-default fusion
+        settings runs the plan it shipped — the reader ignores the settings
+        and serving a query after load plans nothing."""
+        path = tmp_path / "m.json"
+        artifact = build_artifact(_small_spn(), name="m")
+        path.write_text(json.dumps(_version_1_document(artifact, **options)))
+        _assert_serves_only_its_plan(load_artifact(path), monkeypatch)
 
     def test_hash_stable_across_rewrites(self, tmp_path):
         artifact = build_artifact(_small_spn(), name="m")
@@ -340,6 +367,19 @@ class TestArtifactCorruption:
         doc["version"] = 999
         with pytest.raises(ArtifactFormatError):
             artifact_from_payload(doc)
+
+    def test_version_1_document_loads(self, artifact):
+        """Version 1 recorded the retired kernel-fusion settings; a reader
+        ignores them and runs the shipped plan unchanged."""
+        from repro.api import Likelihood, LogLikelihood
+
+        assert _document(artifact)["version"] == 2
+        loaded = artifact_from_payload(_version_1_document(artifact))
+        assert loaded.tape.memory_plan() is loaded.plan
+        fresh = build_artifact(_small_spn(), name="m").session()
+        evidence = golden_evidence(loaded.n_vars)
+        for query in (Likelihood(evidence=evidence), LogLikelihood(evidence=evidence)):
+            assert np.array_equal(loaded.session().run(query), fresh.run(query))
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ArtifactFormatError):

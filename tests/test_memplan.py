@@ -1,12 +1,12 @@
 """Tests for the tape memory planner and the planned executor.
 
 Covers the planner's structural guarantees (liveness peak, physical-buffer
-bound, broadcast constants, kernel fusion, allocation validity on
-hand-built tapes), one shared plan per tape under concurrent first use,
-``QueryPlan`` peak-slot stats and serving, and — via hypothesis — the
-bit-identity guarantee: every suite profile's plan computes exactly
-(``array_equal``) the root row of the dense reference slot matrix
-(``execute_slots``) in both domains.
+bound, broadcast constants, one planned kernel per tape kernel, allocation
+validity on hand-built and learned tapes), one shared plan per tape under
+concurrent first use, ``QueryPlan`` peak-slot stats and serving, and — via
+hypothesis — the bit-identity guarantee: every suite profile's plan
+computes exactly (``array_equal``) the root row of the dense reference
+slot matrix (``execute_slots``) in both domains.
 """
 
 import sys
@@ -19,7 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import InferenceSession, Likelihood, LogLikelihood
 from repro.spn.compiled import CompiledTape, compile_tape
+from repro.spn.datasets import DatasetSpec, generate_dataset
 from repro.spn.generate import random_evidence
+from repro.spn.learn import learn_spn
 from repro.spn.linearize import OP_ADD, OP_MUL, InputSlot, Operation, OperationList
 from repro.spn.memplan import execute_plan, plan_memory
 from repro.suite.registry import (
@@ -87,7 +89,8 @@ def weighted_tape() -> CompiledTape:
 
 
 def fusable_tape() -> CompiledTape:
-    """Two add kernels from adjacent levels that are provably independent.
+    """Two add kernels from adjacent levels that are provably independent
+    (a kernel-fusion pass could merge them; the planner keeps them apart).
 
     s4 = x0+x1 (level 1, add); s5 = x2*x3 (level 1, mul);
     s6 = s5+x0 (level 2, add — reads only the mul side);
@@ -102,6 +105,16 @@ def fusable_tape() -> CompiledTape:
     )
 
 
+def learned_tape() -> CompiledTape:
+    """A learned 12-variable network: 29 tape kernels, several pairs of
+    them independent same-opcode kernels on different levels."""
+    data = generate_dataset(DatasetSpec(n_vars=12, n_rows=2000, seed=10))
+    return compile_tape(learn_spn(data))
+
+
+HAND_BUILT = [chain_tape, balanced_tape, weighted_tape, fusable_tape]
+
+
 def tape_batch(tape: CompiledTape, n_rows: int = 16, seed: int = 0) -> np.ndarray:
     n_vars = max((s.var for s in tape.inputs if s.kind == "indicator"), default=-1) + 1
     return random_evidence(max(n_vars, 1), observed_fraction=0.5, seed=seed, n_samples=n_rows)
@@ -110,14 +123,14 @@ def tape_batch(tape: CompiledTape, n_rows: int = 16, seed: int = 0) -> np.ndarra
 class TestLiveness:
     def test_chain_max_live_is_exact(self):
         # k0: {x0, x1} + s4 -> 3; k1: {s4, x2} + s5 -> 3; k2: {s5, x3} + s6 -> 3.
-        plan = plan_memory(chain_tape(), fuse=False)
+        plan = plan_memory(chain_tape())
         assert plan.max_live == 3
         assert plan.n_physical == plan.max_live  # no fragmentation on a chain
         assert plan.max_live <= plan.n_slots
 
     def test_balanced_max_live_is_exact(self):
         # k0: {x0..x3} + {s4, s5} -> 6; k1: {s4, s5} + s6 -> 3.
-        plan = plan_memory(balanced_tape(), fuse=False)
+        plan = plan_memory(balanced_tape())
         assert plan.max_live == 6
         assert plan.n_physical == 6
         assert plan.max_live <= plan.n_slots
@@ -125,7 +138,7 @@ class TestLiveness:
     def test_weighted_tape_broadcasts_constants(self):
         # The weight lanes w2/w3 never materialize: k0 keeps {x0, x1} plus
         # its two dests -> 4; k1: {s4, s5} + s6 -> 3.
-        plan = plan_memory(weighted_tape(), fuse=False)
+        plan = plan_memory(weighted_tape())
         assert plan.max_live == 4
         mul = plan.kernels[0]
         assert mul.const_arg0 is not None and mul.const_arg0.shape == (2, 1)
@@ -139,7 +152,7 @@ class TestLiveness:
             assert plan.reduction > 1.0
 
     def test_root_survives(self):
-        for build in (chain_tape, balanced_tape, weighted_tape, fusable_tape):
+        for build in HAND_BUILT:
             tape = build()
             plan = tape.memory_plan()
             assert 0 <= plan.root_phys < plan.n_physical
@@ -149,6 +162,17 @@ class TestLiveness:
         with pytest.raises(ValueError, match="empty tape"):
             plan_memory(tape)
 
+    def test_unread_input_root_is_rejected(self):
+        # The root is input x0, which no kernel reads: it gets no physical
+        # row, so a plan would answer some other row instead of the root.
+        tape = compile_tape(
+            ops_list([indicator(0, 0), indicator(1, 0)], [(OP_ADD, 1, 1)], root=0)
+        )
+        with pytest.raises(ValueError, match="root slot 0"):
+            plan_memory(tape)
+        with pytest.raises(ValueError, match="root slot 0"):
+            tape.execute_batch(np.array([[0, 0], [1, 0], [-1, 1]]))
+
     def test_kernelless_tape_executes_via_legacy_fallback(self):
         tape = compile_tape(ops_list([indicator(0, 0)], [], root=0))
         data = np.array([[1], [0], [-1]])
@@ -156,43 +180,34 @@ class TestLiveness:
         assert np.array_equal(out, [1.0, 0.0, 1.0])
 
 
-class TestFusion:
-    def test_independent_adds_fuse(self):
-        tape = fusable_tape()
-        fused = plan_memory(tape, fuse=True)
-        unfused = plan_memory(tape, fuse=False)
-        assert unfused.n_kernels == 4
-        assert fused.n_kernels == 3  # the two add kernels merged
-        data = tape_batch(tape)
-        for log_domain in (False, True):
-            dense = tape.execute_slots(data, log_domain)[tape.root_slot]
-            for plan in (fused, unfused):
-                assert np.array_equal(execute_plan(plan, data, log_domain), dense)
+class TestOneKernelPerTapeKernel:
+    @pytest.mark.parametrize("build", HAND_BUILT + [learned_tape])
+    def test_planned_kernel_is_tape_kernel(self, build):
+        tape = build()
+        plan = plan_memory(tape)
+        assert plan.n_kernels == len(tape.kernels)
+        for planned, kernel in zip(plan.kernels, tape.kernels):
+            assert planned.op == kernel.op
+            assert planned.width == kernel.width
+            assert np.array_equal(
+                planned.source_slots, np.arange(kernel.dest_start, kernel.dest_stop)
+            )
 
-    def test_fuse_width_caps_groups(self):
-        tape = fusable_tape()
-        capped = plan_memory(tape, fuse=True, fuse_width=1)
-        assert capped.n_kernels == 4  # nothing fits a combined width of 1
-
-    def test_suite_tapes_are_already_maximally_fused(self):
-        # Levelization leaves exactly one kernel per (level, opcode) and
-        # each level reads the one below it: a total dependency chain, so
-        # fusion finds nothing to merge on the suite profiles.  This
-        # documents that the (level, opcode) grouping is already maximal.
-        tape = benchmark_tape("KDDCup2k")
-        assert tape.memory_plan().n_kernels == len(tape.kernels)
+    def test_suite_plans_match_their_tapes(self):
+        for name in benchmark_names():
+            tape = benchmark_tape(name)
+            assert tape.memory_plan().n_kernels == len(tape.kernels)
 
 
 class TestExecutors:
-    @pytest.mark.parametrize("build", [chain_tape, balanced_tape, weighted_tape, fusable_tape])
+    @pytest.mark.parametrize("build", HAND_BUILT + [learned_tape])
     @pytest.mark.parametrize("log_domain", [False, True])
     def test_hand_built_bit_identity(self, build, log_domain):
         tape = build()
         data = tape_batch(tape, n_rows=33)
         dense = tape.execute_slots(data, log_domain)[tape.root_slot]
-        for plan in (plan_memory(tape, fuse=True), plan_memory(tape, fuse=False)):
-            planned = execute_plan(plan, data, log_domain)
-            assert np.array_equal(planned, dense, equal_nan=True)
+        planned = execute_plan(tape.memory_plan(), data, log_domain)
+        assert np.array_equal(planned, dense, equal_nan=True)
         if not log_domain:
             assert np.array_equal(tape.execute_batch(data), dense)
 

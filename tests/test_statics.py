@@ -3,8 +3,8 @@
 The acceptance contract this file enforces:
 
 * **Zero false positives** — every suite profile verifies clean, the tape
-  alone (the dense executor's contract) and with fused and unfused plans,
-  and so do random RAT-SPN tapes drawn by Hypothesis.
+  alone (the dense executor's contract) and with its memory plan, and so
+  do random RAT-SPN tapes drawn by Hypothesis.
 * **100% detection** — every mutator in the seeded corpus
   (:mod:`repro.statics.mutate`) produces IR the verifier rejects, on every
   suite profile, for randomized mutation sites.
@@ -29,7 +29,7 @@ from repro.spn.compiled import CompiledTape, TapeKernel, cached_tape
 from repro.spn.generate import GeneratorConfig, generate_rat_spn, generate_spn
 from repro.spn.evaluate import evaluate_batch
 from repro.spn.linearize import OP_MUL, InputSlot
-from repro.spn.memplan import plan_memory
+from repro.spn.memplan import plan_from_payload
 from repro.statics import (
     LOG_TINY,
     MUTATORS,
@@ -44,6 +44,7 @@ from repro.statics import (
 from repro.suite.registry import benchmark_names, benchmark_tape
 
 from strategies import rat_spn_configs
+from test_memplan import fusable_tape
 
 pytestmark = pytest.mark.statics
 
@@ -58,17 +59,17 @@ _REPRO_ROOT = Path(repro.__file__).parent
 class TestCleanVerification:
     @pytest.mark.parametrize("name", benchmark_names())
     def test_suite_profiles_verify_clean_all_modes(self, name):
-        """The tape alone (the dense executor) and the tape with fused and
-        unfused plans all verify with no findings — the zero-false-positive
-        half of the acceptance criteria."""
+        """The tape alone (the dense executor) and the tape with its memory
+        plan both verify with no findings — the zero-false-positive half of
+        the acceptance criteria."""
         tape = benchmark_tape(name)
         tape_facts, _ = verify_compiled(tape, None)  # the tape alone
         assert tape_facts.n_kernels == tape.n_kernels
         assert tape_facts.n_dead_slots == 0
-        for plan in (tape.memory_plan(), plan_memory(tape, fuse=False)):
-            _, plan_facts = verify_compiled(tape, plan)
-            assert plan_facts.n_physical == plan.n_physical
-            assert plan_facts.fusion >= 1.0
+        plan = tape.memory_plan()
+        _, plan_facts = verify_compiled(tape, plan)
+        assert plan_facts.n_physical == plan.n_physical
+        assert plan_facts.n_kernels == tape.n_kernels
 
     @_SETTINGS
     @given(config=rat_spn_configs())
@@ -89,6 +90,21 @@ class TestCleanVerification:
 # --------------------------------------------------------------------- #
 # 100% mutation detection
 # --------------------------------------------------------------------- #
+#: ``plan_to_payload`` of the fused plan of ``fusable_tape`` (4 tape
+#: kernels): its mul kernel first, then both adds merged, then the root mul.
+_MERGED_PLAN = """{"kernels": [
+{"op": "mul", "dest": [2, 3], "arg0": {"rows": [0]}, "arg1": {"rows": [1]},
+ "source_slots": [5], "encode": {"ind_rows": [0, 1], "ind_vars": [2, 3],
+ "ind_values": [1, 1], "const_rows": [], "const_probs": []}},
+{"op": "add", "dest": [3, 5], "arg0": {"rows": [0, 2]}, "arg1": {"rows": [1, 0]},
+ "source_slots": [4, 6], "encode": {"ind_rows": [0, 1], "ind_vars": [0, 1],
+ "ind_values": [1, 1], "const_rows": [], "const_probs": []}},
+{"op": "mul", "dest": [0, 1], "arg0": {"rows": [3]}, "arg1": {"rows": [4]},
+ "source_slots": [7], "encode": null}],
+"n_physical": 5, "max_live": 5, "n_slots": 8, "n_inputs": 4, "root_phys": 0,
+"root_direct": true, "n_source_kernels": 4, "fused": true}"""
+
+
 class TestMutationDetection:
     @pytest.mark.parametrize("mutator", sorted(MUTATORS))
     def test_corpus_detected_on_every_profile(self, mutator):
@@ -118,6 +134,15 @@ class TestMutationDetection:
         assert result is not None
         with pytest.raises(VerificationError):
             verify_compiled(*result)
+
+    def test_merged_kernel_plan_is_rejected(self):
+        """A plan that merges two tape kernels into one planned kernel (and
+        moves a kernel ahead of its tape position), as kernel fusion used to
+        plan ``fusable_tape``, is not one planned kernel per tape kernel."""
+        plan = plan_from_payload(json.loads(_MERGED_PLAN))
+        with pytest.raises(VerificationError) as excinfo:
+            verify_compiled(fusable_tape(), plan)
+        assert excinfo.value.rule == "plan-shape-mismatch"
 
     def test_error_carries_rule_and_detail(self):
         tape = benchmark_tape("Banknote")
@@ -486,7 +511,7 @@ class TestCli:
         from repro.statics.__main__ import _verify_one
 
         tape = benchmark_tape("Banknote")
-        assert _verify_one("Banknote", tape, [tape.memory_plan()])
+        assert _verify_one("Banknote", tape, tape.memory_plan())
         assert "linear_floor=2^-1015.45" in capsys.readouterr().out
 
     def test_verify_command_rejects_corrupt_artifact(self, tmp_path, capsys):
