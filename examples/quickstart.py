@@ -98,7 +98,7 @@ def main() -> None:
 
     # --- the custom processor ---------------------------------------------- #
     kernel = compile_spn(spn, ptree_config())
-    result = kernel.run({2: 1})  # strict mode: every transported value checked
+    result = kernel.run({2: 1})  # every transported value is checked
     reference = evaluate(spn, {2: 1})
     print("\nSPN processor (Ptree):")
     print(f"  compiled to {kernel.program.n_instructions} VLIW instructions "

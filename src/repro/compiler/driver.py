@@ -2,29 +2,22 @@
 
 The driver chains the front end (lowering an SPN to a binary operation list),
 the cone extraction and the scheduler, and offers a verification helper that
-runs the compiled program on the cycle-accurate simulator in strict mode and
-compares the result against the reference evaluator — the standard check used
-throughout the test-suite and the benchmark harness.
+runs the compiled program on the cycle-accurate simulator (which checks every
+transported value) and compares the result against the reference evaluator —
+the standard check used throughout the test-suite and the benchmark harness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..processor.config import ProcessorConfig, ptree_config
 from ..processor.errors import VerificationError
-from ..processor.fastsim import FastProgram, fast_program
 from ..processor.isa import Program
-from ..processor.simulator import (
-    MODE_FAST,
-    MODE_STRICT,
-    SimulationResult,
-    Simulator,
-    cross_check_modes,
-)
+from ..processor.simulator import SimulationResult, Simulator
 from ..spn.graph import SPN
 from ..spn.linearize import OperationList, linearize
 from .cones import ConeGraph, extract_cones
@@ -42,52 +35,16 @@ class CompiledKernel:
     cone_graph: ConeGraph
     config: ProcessorConfig
     ops: OperationList
-    #: Memoized fast form of ``program`` (built on first fast-mode run).  The
-    #: kernel owns its program, so the memo is safe as long as ``program`` is
-    #: not mutated by hand — mutated copies go through ``Simulator`` directly,
-    #: whose content-keyed cache can never serve a stale tape.
-    _fast_form: Optional[FastProgram] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
-    def fast_form(self) -> FastProgram:
-        """The precompiled fast form of this kernel's program (memoized)."""
-        if self._fast_form is None:
-            self._fast_form = fast_program(self.program, self.config)
-        return self._fast_form
-
-    def run(
-        self,
-        evidence: Optional[Mapping[int, int]] = None,
-        strict: bool = True,
-        mode: Optional[str] = None,
-        check: bool = False,
-    ) -> SimulationResult:
+    def run(self, evidence: Optional[Mapping[int, int]] = None) -> SimulationResult:
         """Execute the kernel for ``evidence`` on the cycle-accurate simulator.
 
-        ``mode`` picks the simulator path explicitly (``"strict"`` interprets
-        and verifies, ``"fast"`` runs the vectorized tape); omitted, it
-        follows ``strict``.  Fast-mode runs reuse the kernel's memoized
-        precompiled tape, so repeated evidence evaluations cost only the
-        array gathers.  ``check=True`` runs *both* modes and raises
-        :class:`~repro.processor.errors.VerificationError` unless cycle
-        counts, outputs and counters match exactly.
+        Every value the program transports through the register file is
+        checked against the operation list's reference slot values.
         """
         input_vector = self.ops.input_vector(evidence)
-        effective_mode = mode or (MODE_STRICT if strict else MODE_FAST)
-        needs_expected = check or (strict and effective_mode == MODE_STRICT)
-        expected = self.ops.execute_values(input_vector) if needs_expected else None
-        if check:
-            return cross_check_modes(
-                self.program,
-                input_vector,
-                self.config,
-                expected,
-                precompiled=self.fast_form(),
-            )
-        simulator = Simulator(self.config, strict=strict, mode=effective_mode)
-        precompiled = self.fast_form() if simulator.mode == MODE_FAST else None
-        return simulator.run(self.program, input_vector, expected, precompiled)
+        expected = self.ops.execute_values(input_vector)
+        return Simulator(self.config).run(self.program, input_vector, expected)
 
 
 def compile_operation_list(
@@ -121,14 +78,13 @@ def verify_program(
 ) -> bool:
     """Run the kernel on the simulator and compare against the reference evaluator.
 
-    Every sample is executed in strict mode (so every transported value is
-    checked, not only the final result).  Raises
-    :class:`~repro.processor.errors.VerificationError` on mismatch and returns
-    ``True`` otherwise.
+    Every sample checks every transported value, not only the final result.
+    Raises :class:`~repro.processor.errors.VerificationError` on mismatch and
+    returns ``True`` otherwise.
     """
     for evidence in evidence_samples:
         reference = kernel.ops.execute(evidence)
-        result = kernel.run(evidence, strict=True)
+        result = kernel.run(evidence)
         if not np.isclose(result.value, reference, rtol=rtol, atol=1e-12):
             raise VerificationError(
                 f"compiled program returned {result.value!r}, reference evaluation "

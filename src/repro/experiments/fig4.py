@@ -2,8 +2,8 @@
 
 For every benchmark of the suite the driver runs the CPU model, the GPU model
 (256 threads) and the custom processor in both configurations (compiled with
-the full compiler and measured on the cycle-accurate simulator in strict
-mode), and reports effective operations/cycle — the exact quantity plotted in
+the full compiler and measured on the verifying cycle-accurate simulator),
+and reports effective operations/cycle — the exact quantity plotted in
 Fig. 4 of the paper.  All four platforms are resolved by name through the
 engine registry (:mod:`repro.platforms`) via
 :func:`repro.experiments.platforms.run_suite`.

@@ -10,9 +10,6 @@ anywhere in the experiments: adding a platform to the registry makes it
 available to every driver by name, and the same session object answers the
 functional (typed-query) side of the workload.
 
-The ``run_cpu`` / ``run_gpu`` / ``run_processor`` helpers are kept as
-backwards-compatible conveniences for callers that already hold a model
-configuration object; they construct the corresponding engine directly.
 :func:`run_platform` remains the ops-level veneer for callers holding a
 bare operation list rather than a model.
 """
@@ -22,8 +19,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional
 
 from ..analysis.metrics import PlatformResult
-from ..baselines.cpu import CpuConfig
-from ..baselines.gpu import GpuConfig
 from ..compiler.scheduler import ScheduleOptions
 from ..platforms import (
     DEFAULT_PLATFORMS,
@@ -31,12 +26,8 @@ from ..platforms import (
     PLATFORM_GPU,
     PLATFORM_PTREE,
     PLATFORM_PVECT,
-    CpuEngine,
-    GpuEngine,
-    ProcessorEngine,
     get_engine,
 )
-from ..processor.config import ProcessorConfig
 from ..spn.linearize import OperationList
 from ..suite.registry import benchmark_names
 
@@ -46,50 +37,10 @@ __all__ = [
     "PLATFORM_PVECT",
     "PLATFORM_PTREE",
     "DEFAULT_PLATFORMS",
-    "run_cpu",
-    "run_gpu",
-    "run_processor",
     "run_platform",
     "run_benchmark",
     "run_suite",
 ]
-
-
-def run_cpu(
-    ops: OperationList, benchmark: str = "", config: Optional[CpuConfig] = None
-) -> PlatformResult:
-    """Throughput of the CPU model (Sec. III) on ``ops``."""
-    engine = get_engine(PLATFORM_CPU) if config is None else CpuEngine(config=config)
-    return engine.run(ops, benchmark=benchmark)
-
-
-def run_gpu(
-    ops: OperationList, benchmark: str = "", config: Optional[GpuConfig] = None
-) -> PlatformResult:
-    """Throughput of the GPU (SIMT) model on ``ops``."""
-    engine = get_engine(PLATFORM_GPU) if config is None else GpuEngine(config=config)
-    return engine.run(ops, benchmark=benchmark)
-
-
-def run_processor(
-    ops: OperationList,
-    config: ProcessorConfig,
-    benchmark: str = "",
-    options: Optional[ScheduleOptions] = None,
-    verify: bool = True,
-    mode: Optional[str] = None,
-) -> PlatformResult:
-    """Compile ``ops`` for ``config`` and measure it on the cycle-accurate simulator.
-
-    With ``verify`` enabled (the default) the run uses strict mode, so every
-    value transported through the register file is checked against the
-    reference evaluation — throughput numbers are only reported for programs
-    that compute the right answer.  ``mode="fast"`` selects the vectorized
-    simulator path instead (identical cycle counts and outputs, no per-value
-    checks).
-    """
-    engine = ProcessorEngine(config=config, verify=verify, mode=mode)
-    return engine.run(ops, benchmark=benchmark, options=options)
 
 
 def run_platform(

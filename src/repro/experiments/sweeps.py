@@ -33,9 +33,9 @@ The module is also a command-line entry point::
 
 which runs all sweeps for one benchmark (parallel, cached) plus the
 reference-vs-vectorized engine speedup measurement
-(:func:`measure_engine_speedup`) and the strict-vs-fast simulator speedup
-measurement (:func:`measure_simulator_speedup`), and writes the JSON
-artifact.
+(:func:`measure_engine_speedup`) and the query-API, classify, tape-memory and
+lifecycle measurements (all skipped with ``--skip-speedup``), and writes the
+JSON artifact.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ __all__ = [
     "all_sweep_points",
     "filter_points",
     "measure_engine_speedup",
-    "measure_simulator_speedup",
     "measure_query_speedup",
     "measure_classify_speedup",
     "measure_tape_memory",
@@ -504,93 +503,6 @@ def measure_engine_speedup(
         "t_vectorized_s": t_vectorized,
         "speedup_vs_reference": t_reference / t_vectorized,
         "speedup_vs_node_batch": t_node_batch / t_vectorized,
-    }
-
-
-# --------------------------------------------------------------------------- #
-# Simulator speedup measurement (strict interpreter vs vectorized fast mode)
-# --------------------------------------------------------------------------- #
-def measure_simulator_speedup(
-    n_vars: int = 224,
-    repetitions: int = 5,
-    repeats: int = 3,
-    seed: int = 7,
-) -> Dict[str, float]:
-    """Time the strict (interpreted) simulator against the fast tape mode.
-
-    Builds a deterministic RAT-SPN large enough that its compiled ``Ptree``
-    program exceeds 1000 VLIW instructions, compiles it once, and measures:
-
-    * ``t_strict`` — one :class:`~repro.processor.simulator.Simulator` run in
-      strict mode (per-value verification against a precomputed reference
-      slot vector; best of ``repeats``);
-    * ``t_fast_cold`` — the first fast-mode run, including tape
-      precompilation and the content-keyed cache insert;
-    * ``t_fast`` — a warm fast-mode run reusing the kernel's memoized tape
-      (the steady-state path of ``CompiledKernel.run(strict=False)``; best
-      of ``repeats``).
-
-    The two modes are also cross-checked for exact agreement, so the
-    recorded speedup always describes runs that produced identical cycle
-    counts and outputs.  Returns a flat dict ready for inclusion in
-    ``BENCH_sweeps.json``.
-    """
-    from ..compiler.driver import compile_operation_list
-    from ..processor import fastsim
-    from ..processor.config import ptree_config
-    from ..processor.simulator import (
-        MODE_FAST,
-        MODE_STRICT,
-        Simulator,
-        cross_check_modes,
-    )
-    from ..spn.generate import RatSpnConfig, generate_rat_spn
-    from ..spn.linearize import linearize
-
-    spn = generate_rat_spn(
-        RatSpnConfig(
-            n_vars=n_vars, depth=n_vars, repetitions=repetitions, n_sums=2,
-            split_balance=0.1, seed=seed,
-        )
-    )
-    ops = linearize(spn)
-    config = ptree_config()
-    kernel = compile_operation_list(ops, config)
-    program = kernel.program
-    input_vector = ops.input_vector(None)
-    expected = ops.execute_values(input_vector)
-
-    def best_of(fn, n: int) -> float:
-        best = float("inf")
-        for _ in range(max(1, n)):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    strict_sim = Simulator(config, strict=True, mode=MODE_STRICT)
-    t_strict = best_of(lambda: strict_sim.run(program, input_vector, expected), repeats)
-
-    fastsim.clear_cache()
-    fast_sim = Simulator(config, mode=MODE_FAST)
-    t0 = time.perf_counter()
-    fast_sim.run(program, input_vector)
-    t_fast_cold = time.perf_counter() - t0
-    precompiled = kernel.fast_form()
-    t_fast = best_of(
-        lambda: fast_sim.run(program, input_vector, precompiled=precompiled), repeats
-    )
-
-    cross_check_modes(program, input_vector, config, expected)
-
-    return {
-        "n_instructions": program.n_instructions,
-        "n_operations": program.n_arith_ops,
-        "t_strict_s": t_strict,
-        "t_fast_cold_s": t_fast_cold,
-        "t_fast_s": t_fast,
-        "speedup_fast_vs_strict": t_strict / t_fast,
-        "speedup_fast_cold_vs_strict": t_strict / t_fast_cold,
     }
 
 
@@ -1364,7 +1276,7 @@ def update_bench_json(path: Path, **sections: object) -> Dict[str, object]:
     """Merge ``sections`` into the artifact at ``path``, preserving other keys.
 
     Several benchmark writers contribute to the same ``BENCH_sweeps.json``
-    (the sweep grid, the engine speedup, the simulator speedup); merging
+    (the sweep grid, the engine speedup, the serving benchmark); merging
     keeps the artifact whole no matter which writer runs last.  The file is
     emitted deterministically — sections and keys sorted, floats rounded to
     6 significant digits — so re-running a benchmark only rewrites the
@@ -1385,14 +1297,13 @@ def write_bench_json(
     path: Path = Path("BENCH_sweeps.json"),
     benchmark: str = DEFAULT_BENCHMARK,
     engine_speedup: Optional[Mapping[str, float]] = None,
-    simulator_speedup: Optional[Mapping[str, float]] = None,
     merge_sweeps: bool = False,
 ) -> Dict[str, object]:
     """Write the consolidated sweep artifact and return its payload.
 
     Top-level keys already present in the file but not produced by this call
-    (for example a ``simulator_speedup`` section written by
-    ``benchmarks/test_bench_simulator.py``) are preserved.  With
+    (for example a ``serving`` section written by
+    ``benchmarks/test_bench_serving.py``) are preserved.  With
     ``merge_sweeps=True`` the existing ``sweeps`` entries are kept too,
     except those for the points measured now (matched by kind, benchmark,
     label and platform) — so a platform-filtered run updates its rows
@@ -1424,8 +1335,6 @@ def write_bench_json(
     }
     if engine_speedup is not None:
         sections["engine_speedup"] = dict(engine_speedup)
-    if simulator_speedup is not None:
-        sections["simulator_speedup"] = dict(simulator_speedup)
     return update_bench_json(Path(path), **sections)
 
 
@@ -1576,7 +1485,8 @@ def _cli(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--json", type=Path, default=None, metavar="PATH",
                         help="write the BENCH_sweeps.json artifact to PATH")
     parser.add_argument("--skip-speedup", action="store_true",
-                        help="skip the engine and simulator speedup measurements")
+                        help="skip the engine, query-API and classify speedup, "
+                        "tape-memory and lifecycle measurements")
     parser.add_argument("--platforms", nargs="+", default=None, metavar="NAME",
                         help="only run sweep points on these platform-registry "
                         "names (e.g. --platforms GPU Ptree)")
@@ -1590,7 +1500,7 @@ def _cli(argv: Optional[Sequence[str]] = None) -> int:
         cache_dir=cache_dir,
     )
     print(render_sweeps(results, args.benchmark))
-    speedup = simulator_speedup = query_speedup = tape_memory = None
+    speedup = query_speedup = tape_memory = None
     classify_speedup = lifecycle = None
     if not args.skip_speedup:
         speedup = measure_engine_speedup()
@@ -1598,12 +1508,6 @@ def _cli(argv: Optional[Sequence[str]] = None) -> int:
             f"\nengine speedup: vectorized tape is "
             f"{speedup['speedup_vs_reference']:.1f}x the reference executor "
             f"({speedup['n_operations']} ops, {speedup['n_samples']} rows)"
-        )
-        simulator_speedup = measure_simulator_speedup()
-        print(
-            f"simulator speedup: fast mode is "
-            f"{simulator_speedup['speedup_fast_vs_strict']:.1f}x strict mode "
-            f"({simulator_speedup['n_instructions']} instructions)"
         )
         query_speedup = measure_query_speedup()
         print(
@@ -1644,7 +1548,6 @@ def _cli(argv: Optional[Sequence[str]] = None) -> int:
             args.json,
             args.benchmark,
             engine_speedup=speedup,
-            simulator_speedup=simulator_speedup,
             # A platform-filtered run must not drop the other platforms'
             # rows from an already-merged artifact.
             merge_sweeps=args.platforms is not None,

@@ -88,7 +88,7 @@ class PlatformEngine(abc.ABC):
         ``options`` carries compiler :class:`~repro.compiler.scheduler.ScheduleOptions`
         for the processor engines and is ignored by the CPU/GPU models (their
         timing does not depend on the SPN compiler).  ``evidence`` selects
-        the input assignment used for the processor's strict verification;
+        the input assignment used for the processor's value verification;
         the timing of every model is input-independent.
         """
 

@@ -115,21 +115,17 @@ class GpuEngine(PlatformEngine):
 class ProcessorEngine(PlatformEngine):
     """The custom SPN processor: full compiler plus cycle-accurate simulator.
 
-    ``verify`` (default on) runs the simulator in strict mode, so throughput
-    numbers are only ever reported for programs that transported every value
-    correctly.  ``mode`` forces a simulator path explicitly (``"fast"`` for
-    the vectorized tape) and ``check`` cross-checks fast against strict.
+    The simulator checks every value the program transports, so throughput
+    numbers are only ever reported for programs that compute the right
+    answer.
     """
 
     config: ProcessorConfig = field(default_factory=ptree_config)
-    verify: bool = True
-    mode: Optional[str] = None
-    check: bool = False
 
     description = (
         "VLIW processor with PE trees behind a banked register file; "
         "programs come from the cone-extraction + scheduling compiler and "
-        "are measured on the cycle-accurate simulator (strict or fast mode)."
+        "are measured on the verifying cycle-accurate simulator."
     )
 
     @property
@@ -147,9 +143,7 @@ class ProcessorEngine(PlatformEngine):
         from ..compiler.driver import compile_operation_list
 
         kernel = compile_operation_list(ops, self.config, options)
-        result = kernel.run(
-            evidence=evidence, strict=self.verify, mode=self.mode, check=self.check
-        )
+        result = kernel.run(evidence)
         return PlatformResult(
             platform=self.name,
             benchmark=benchmark,

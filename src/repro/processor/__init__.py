@@ -21,15 +21,7 @@ from .isa import (
     ReadSpec,
     WriteSpec,
 )
-from .fastsim import FastProgram, fast_program, precompile_program
-from .simulator import (
-    MODE_FAST,
-    MODE_STRICT,
-    SimulationResult,
-    Simulator,
-    cross_check_modes,
-    simulate_program,
-)
+from .simulator import SimulationResult, Simulator
 from .assembler import assemble, disassemble
 
 __all__ = [
@@ -56,11 +48,4 @@ __all__ = [
     "WriteSpec",
     "SimulationResult",
     "Simulator",
-    "simulate_program",
-    "cross_check_modes",
-    "MODE_FAST",
-    "MODE_STRICT",
-    "FastProgram",
-    "fast_program",
-    "precompile_program",
 ]

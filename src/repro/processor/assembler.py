@@ -11,11 +11,12 @@ is line oriented; one instruction per ``instr`` block::
       read t0.p3 b5 r12 slot=17
       pe t0.l0.p1 mul
       write t0.l2.p0 b3 r7 slot=33
-      load row=4 reg=60
+      load row=4 reg=60 slots=3,-,17,...   # optional: one slot (or '-') per bank
       store row=9 reg=61
     end
 
 Fields mirror the ISA exactly; see :mod:`repro.processor.isa` for semantics.
+Instruction comments are not part of the format.
 """
 
 from __future__ import annotations
@@ -68,7 +69,10 @@ def disassemble(program: Program) -> str:
             )
         if instruction.mem is not None:
             mem = instruction.mem
-            lines.append(f"  {mem.kind} row={mem.row} reg={mem.reg}")
+            line = f"  {mem.kind} row={mem.row} reg={mem.reg}"
+            if mem.slots is not None:
+                line += " slots=" + ",".join(_format_slot(slot) for slot in mem.slots)
+            lines.append(line)
         lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -140,7 +144,12 @@ def assemble(text: str) -> Program:
             )
         elif kind in ("load", "store"):
             fields = dict(f.split("=", 1) for f in parts[1:])
-            current.mem = MemOp(kind=kind, row=int(fields["row"]), reg=int(fields["reg"]))
+            slots = fields.get("slots")
+            if slots is not None:
+                slots = tuple(_parse_slot(text) for text in slots.split(","))
+            current.mem = MemOp(
+                kind=kind, row=int(fields["row"]), reg=int(fields["reg"]), slots=slots
+            )
         else:
             raise ValueError(f"unknown assembly directive {kind!r}")
 

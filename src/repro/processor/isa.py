@@ -16,9 +16,9 @@ cone's result only becomes readable ``level + pe_latency`` cycles later (see
 :class:`repro.processor.config.ProcessorConfig.result_latency`).
 
 Read and write specifications optionally carry the operation-list slot index
-they are expected to transport (``slot``); the simulator checks these in
-strict mode, which turns silent compiler bugs (clobbered registers, hazard
-violations) into immediate, located errors.
+they are expected to transport (``slot``); the simulator checks these,
+which turns silent compiler bugs (clobbered registers, hazard violations)
+into immediate, located errors.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class ReadSpec:
     port: PortId
     bank: int
     reg: int
-    #: Operation-list slot expected to be stored there (strict-mode check only).
+    #: Operation-list slot expected to be stored there (checked by the simulator).
     slot: Optional[int] = None
 
 
@@ -77,7 +77,7 @@ class WriteSpec:
     pe: PEId
     bank: int
     reg: int
-    #: Operation-list slot carried by the value (strict-mode check only).
+    #: Operation-list slot carried by the value (checked by the simulator).
     slot: Optional[int] = None
 
 
@@ -92,7 +92,7 @@ class MemOp:
     kind: str
     row: int
     reg: int
-    #: For loads: per-bank slot annotations (strict-mode check only).
+    #: For loads: per-bank slot annotations (checked by the simulator).
     slots: Optional[Tuple[Optional[int], ...]] = None
 
     def __post_init__(self) -> None:
@@ -108,7 +108,8 @@ class Instruction:
     pe_ops: Dict[PEId, Opcode] = field(default_factory=dict)
     writes: List[WriteSpec] = field(default_factory=list)
     mem: Optional[MemOp] = None
-    #: Free-form annotation (cone id, source line) used by the disassembler.
+    #: Free-form annotation (the scheduler records the issue cycle); debugging
+    #: aid only, not written by the disassembler.
     comment: str = ""
 
     def __post_init__(self) -> None:

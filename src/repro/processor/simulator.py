@@ -1,26 +1,16 @@
 """Cycle-accurate simulator of the SPN processor.
 
 This is the Python equivalent of the MyHDL model the paper uses for its
-throughput measurements.  It offers two execution modes with identical
-results (same cycle counts, same values, bit for bit):
-
-* ``mode="strict"`` — the verifying interpreter: one VLIW instruction per
-  cycle, applying the register-file commit delay of the pipelined PE trees,
-  enforcing every structural constraint of the machine (crossbar read ports,
-  per-level write windows, write-port conflicts, single memory transaction
-  per cycle) and additionally checking, against a reference execution of the
-  operation list, that every value transported through the register file is
-  the one the compiler claims it is — which turns scheduling and allocation
-  bugs into precise, located errors instead of silently wrong results.
-* ``mode="fast"`` — the vectorized path of :mod:`repro.processor.fastsim`:
-  the program is precompiled once into per-level NumPy index/op tapes (all
-  structural checks and cycle accounting happen at that point), and every
-  run is a handful of array gathers instead of per-slot Python dict work.
-
-:func:`cross_check_modes` (and ``check=True`` on :func:`simulate_program`)
-runs both modes and raises :class:`~repro.processor.errors.VerificationError`
-unless cycle counts, outputs and utilization counters agree exactly — the
-same cross-check discipline the SPN execution engines use.
+throughput measurements: a verifying interpreter that issues one VLIW
+instruction per cycle, applies the register-file commit delay of the
+pipelined PE trees and enforces every structural constraint of the machine
+(crossbar read ports, per-level write windows, write-port conflicts, single
+memory transaction per cycle).  It also checks that every register a read
+expects to hold an operation-list slot holds that slot and, given the
+reference value of every slot, that every value transported through the
+register file is the one the compiler claims it is — which turns scheduling
+and allocation bugs into precise, located errors instead of silently wrong
+results.
 """
 
 from __future__ import annotations
@@ -38,26 +28,13 @@ from .errors import (
     UninitializedReadError,
     VerificationError,
 )
-from .fastsim import FastProgram, fast_program
 from .isa import OP_NOP, Instruction, Program
 
-__all__ = [
-    "MODE_STRICT",
-    "MODE_FAST",
-    "SimulationResult",
-    "Simulator",
-    "simulate_program",
-    "cross_check_modes",
-]
+__all__ = ["SimulationResult", "Simulator"]
 
-#: Relative tolerance used when checking transported values in strict mode.
+#: Tolerances used when checking transported values against the reference.
 _RTOL = 1e-9
 _ATOL = 1e-12
-
-#: The verifying one-instruction-per-cycle interpreter.
-MODE_STRICT = "strict"
-#: The vectorized precompiled-tape path (no per-value verification).
-MODE_FAST = "fast"
 
 
 @dataclass
@@ -93,32 +70,10 @@ class SimulationResult:
 
 
 class Simulator:
-    """Executes compiled :class:`~repro.processor.isa.Program` objects.
+    """Executes compiled :class:`~repro.processor.isa.Program` objects."""
 
-    ``mode`` selects the execution path: :data:`MODE_STRICT` is the verifying
-    interpreter, :data:`MODE_FAST` the vectorized tape of
-    :mod:`repro.processor.fastsim`.  When ``mode`` is omitted it follows the
-    ``strict`` flag — strict runs interpret and verify, non-strict runs take
-    the fast path (which produces identical results).
-    """
-
-    def __init__(
-        self,
-        config: ProcessorConfig,
-        strict: bool = True,
-        mode: Optional[str] = None,
-    ) -> None:
-        if mode not in (None, MODE_STRICT, MODE_FAST):
-            raise ValueError(
-                f"mode must be {MODE_STRICT!r} or {MODE_FAST!r}, got {mode!r}"
-            )
+    def __init__(self, config: ProcessorConfig) -> None:
         self._config = config
-        self._mode = mode or (MODE_STRICT if strict else MODE_FAST)
-        self._strict = strict and self._mode == MODE_STRICT
-
-    @property
-    def mode(self) -> str:
-        return self._mode
 
     # ------------------------------------------------------------------ #
     def run(
@@ -126,7 +81,6 @@ class Simulator:
         program: Program,
         input_values: Sequence[float],
         expected_slots: Optional[np.ndarray] = None,
-        precompiled: Optional[FastProgram] = None,
     ) -> SimulationResult:
         """Execute ``program`` with the given operation-list input vector.
 
@@ -139,19 +93,9 @@ class Simulator:
             :meth:`repro.spn.linearize.OperationList.input_vector`).
         expected_slots:
             Optional reference value of *every* slot (inputs and operation
-            results).  When provided and the simulator is strict, every
-            annotated read and write is checked against it.  Ignored in fast
-            mode, which performs no per-value verification.
-        precompiled:
-            Fast mode only: reuse an already-precompiled
-            :class:`~repro.processor.fastsim.FastProgram` for ``program``
-            (the caller vouches it matches), skipping the content-keyed
-            cache lookup on the hot path.
+            results).  When provided, every annotated read and write is
+            checked against it.
         """
-        if precompiled is not None and self._mode != MODE_FAST:
-            raise ValueError("precompiled programs are only usable in fast mode")
-        if self._mode == MODE_FAST:
-            return self._run_fast(program, input_values, precompiled)
         config = self._config
         input_values = np.asarray(input_values, dtype=np.float64)
         regfile = RegisterFile(config)
@@ -159,41 +103,6 @@ class Simulator:
         datapath = TreeDatapath(config)
         self._initialize_dmem(dmem, program, input_values)
 
-        cycles, n_reads, n_writes, n_loads, n_stores = self.execute_cycles(
-            program, regfile, dmem, datapath, expected_slots
-        )
-        value = self._extract_result(regfile, program, input_values)
-        return SimulationResult(
-            value=value,
-            cycles=cycles,
-            n_instructions=program.n_instructions,
-            n_operations=program.n_arith_ops,
-            n_reads=n_reads,
-            n_writes=n_writes,
-            n_loads=n_loads,
-            n_stores=n_stores,
-            config=config,
-        )
-
-    # ------------------------------------------------------------------ #
-    def execute_cycles(
-        self,
-        program: Program,
-        regfile: RegisterFile,
-        dmem: DataMemory,
-        datapath: TreeDatapath,
-        expected_slots: Optional[np.ndarray],
-    ) -> Tuple[int, int, int, int, int]:
-        """The per-cycle machine loop, shared by both execution modes.
-
-        Issues every instruction against the given state (commit, crossbar
-        reads, datapath, write-backs, memory transaction), drains the write
-        pipeline, and returns ``(cycles, n_reads, n_writes, n_loads,
-        n_stores)``.  The fast path's symbolic precompilation
-        (:func:`repro.processor.fastsim.precompile_program`) runs this exact
-        loop with a tape-emitting datapath, so the structural rules and the
-        utilization accounting have a single definition.
-        """
         n_reads = n_writes = n_loads = n_stores = 0
         for cycle, instruction in enumerate(program.instructions):
             regfile.commit_due(cycle)
@@ -208,28 +117,16 @@ class Simulator:
             n_stores += stores
 
         drain_cycle = regfile.drain()
-        cycles = max(program.n_instructions, drain_cycle + 1)
-        return cycles, n_reads, n_writes, n_loads, n_stores
-
-    # ------------------------------------------------------------------ #
-    def _run_fast(
-        self,
-        program: Program,
-        input_values: Sequence[float],
-        precompiled: Optional[FastProgram] = None,
-    ) -> SimulationResult:
-        compiled = precompiled or fast_program(program, self._config)
-        value = compiled.execute(np.asarray(input_values, dtype=np.float64))
         return SimulationResult(
-            value=value,
-            cycles=compiled.cycles,
+            value=self._extract_result(regfile, program, input_values),
+            cycles=max(program.n_instructions, drain_cycle + 1),
             n_instructions=program.n_instructions,
             n_operations=program.n_arith_ops,
-            n_reads=compiled.n_reads,
-            n_writes=compiled.n_writes,
-            n_loads=compiled.n_loads,
-            n_stores=compiled.n_stores,
-            config=self._config,
+            n_reads=n_reads,
+            n_writes=n_writes,
+            n_loads=n_loads,
+            n_stores=n_stores,
+            config=config,
         )
 
     # ------------------------------------------------------------------ #
@@ -283,7 +180,7 @@ class Simulator:
                 raise UninitializedReadError(
                     f"read of bank {spec.bank} reg {spec.reg} before any write"
                 )
-            if self._strict and spec.slot is not None:
+            if spec.slot is not None:
                 if stored_slot is not None and stored_slot != spec.slot:
                     raise VerificationError(
                         f"bank {spec.bank} reg {spec.reg} holds slot {stored_slot}, "
@@ -318,7 +215,7 @@ class Simulator:
                 raise StructuralHazardError(
                     f"PE {spec.pe} may only write banks {allowed}, not {spec.bank}"
                 )
-            if self._strict and spec.slot is not None:
+            if spec.slot is not None:
                 self._check_value(expected_slots, spec.slot, output.value, "write")
             readable = cycle + config.result_latency(level + 1)
             regfile.schedule_write(
@@ -402,72 +299,3 @@ class Simulator:
                 f"the reference value {expected!r}"
             )
 
-
-def simulate_program(
-    program: Program,
-    input_values: Sequence[float],
-    config: ProcessorConfig,
-    expected_slots: Optional[np.ndarray] = None,
-    strict: bool = True,
-    mode: Optional[str] = None,
-    check: bool = False,
-) -> SimulationResult:
-    """Convenience wrapper: build a :class:`Simulator` and run ``program``.
-
-    With ``check=True`` the program is executed in *both* modes and the two
-    results are compared exactly (see :func:`cross_check_modes`); the fast
-    result is returned.
-    """
-    if check:
-        return cross_check_modes(program, input_values, config, expected_slots)
-    return Simulator(config, strict=strict, mode=mode).run(
-        program, input_values, expected_slots
-    )
-
-
-#: Fields of :class:`SimulationResult` that both modes must agree on exactly.
-_CHECKED_FIELDS = (
-    "value",
-    "cycles",
-    "n_instructions",
-    "n_operations",
-    "n_reads",
-    "n_writes",
-    "n_loads",
-    "n_stores",
-)
-
-
-def cross_check_modes(
-    program: Program,
-    input_values: Sequence[float],
-    config: ProcessorConfig,
-    expected_slots: Optional[np.ndarray] = None,
-    precompiled: Optional[FastProgram] = None,
-) -> SimulationResult:
-    """Run ``program`` in fast *and* strict mode and compare the results.
-
-    Comparison is exact (``==``, no tolerance): the fast tapes apply the same
-    IEEE-754 operations to the same operand pairings as the interpreter, so
-    any difference — in the output value, the cycle count or any utilization
-    counter — is a bug and raises
-    :class:`~repro.processor.errors.VerificationError`.  Returns the fast
-    result on agreement.
-    """
-    fast = Simulator(config, mode=MODE_FAST).run(
-        program, input_values, precompiled=precompiled
-    )
-    strict = Simulator(config, strict=True, mode=MODE_STRICT).run(
-        program, input_values, expected_slots
-    )
-    mismatches = [
-        f"{name}: fast={getattr(fast, name)!r} strict={getattr(strict, name)!r}"
-        for name in _CHECKED_FIELDS
-        if getattr(fast, name) != getattr(strict, name)
-    ]
-    if mismatches:
-        raise VerificationError(
-            "fast simulator mode disagrees with strict mode: "
-            + "; ".join(mismatches)
-        )
-    return fast

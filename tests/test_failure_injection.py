@@ -32,10 +32,10 @@ def _first_instruction_with(program, predicate):
     raise AssertionError("no instruction matches the predicate")
 
 
-def _run(kernel, program, strict=True):
+def _run(kernel, program):
     vec = kernel.ops.input_vector({0: 1, 1: 0})
     expected = kernel.ops.execute_values(vec)
-    return Simulator(kernel.config, strict=strict).run(program, vec, expected)
+    return Simulator(kernel.config).run(program, vec, expected)
 
 
 class TestReadHazards:
@@ -142,19 +142,3 @@ class TestMemoryHazards:
         with pytest.raises(StructuralHazardError):
             _run(kernel, program)
 
-
-class TestNonStrictMode:
-    def test_corrupted_slot_annotation_ignored_when_not_strict(self, kernel):
-        program = copy.deepcopy(kernel.program)
-        _, instr = _first_instruction_with(
-            program, lambda i: any(w.slot is not None for w in i.writes)
-        )
-        write = next(w for w in instr.writes if w.slot is not None)
-        position = instr.writes.index(write)
-        instr.writes[position] = WriteSpec(
-            pe=write.pe, bank=write.bank, reg=write.reg, slot=write.slot + 1
-        )
-        # Non-strict mode does not check annotations; the run completes (the
-        # final value is still correct because only metadata was corrupted).
-        result = _run(kernel, program, strict=False)
-        assert result.cycles > 0

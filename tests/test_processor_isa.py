@@ -74,16 +74,29 @@ class TestAssembler:
         assert restored.result_location == kernel.program.result_location
         assert restored.dmem_image == [list(r) for r in kernel.program.dmem_image]
 
+    def test_round_trip_keeps_memory_operations(self, mixture_spn):
+        """Load slot annotations survive the text format."""
+        kernel = compile_spn(mixture_spn, ptree_config())
+        restored = assemble(disassemble(kernel.program))
+        original_mem = [i.mem for i in kernel.program.instructions]
+        assert any(mem is not None and mem.slots for mem in original_mem)
+        assert [i.mem for i in restored.instructions] == original_mem
+
+    def test_load_without_slots_assembles(self):
+        text = (
+            "program v1 ops=0 result=- result_slot=0\n"
+            "instr\n  load row=2 reg=7\nend\n"
+        )
+        (instruction,) = assemble(text).instructions
+        assert instruction.mem == MemOp(kind="load", row=2, reg=7)
+
     def test_round_trip_executes_identically(self, mixture_spn):
         kernel = compile_spn(mixture_spn, ptree_config())
         restored = assemble(disassemble(kernel.program))
         vec = kernel.ops.input_vector({0: 1, 1: 0})
-        # Strict slot annotations for loads are not preserved by the text
-        # format, so run the restored program in non-strict mode.
-        sim = Simulator(ptree_config(), strict=False)
-        original = sim.run(kernel.program, vec).value
-        again = sim.run(restored, vec).value
-        assert again == pytest.approx(original)
+        expected = kernel.ops.execute_values(vec)
+        sim = Simulator(ptree_config())
+        assert sim.run(restored, vec, expected) == sim.run(kernel.program, vec, expected)
 
     def test_missing_header_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Tests for the cycle-accurate simulator using small hand-written programs."""
+"""Tests for the cycle-accurate simulator: small hand-written programs and the
+18 compiled Fig. 4 programs."""
 
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.compiler.driver import compile_operation_list
 from repro.processor.config import ptree_config, pvect_config
 from repro.processor.errors import (
     StructuralHazardError,
@@ -23,6 +25,37 @@ from repro.processor.isa import (
     WriteSpec,
 )
 from repro.processor.simulator import Simulator
+from repro.suite.registry import benchmark_operation_list
+
+#: Cycle counts of the Fig. 4 processor points.  They pin the schedules the
+#: compiler emits: a change that alters any program shows up here.
+GOLDEN_CYCLES = {
+    "Ptree": {
+        "Audio": 416,
+        "BBC": 476,
+        "Banknote": 65,
+        "Bio response": 420,
+        "CPU": 228,
+        "EEG-eye": 154,
+        "KDDCup2k": 278,
+        "MSNBC": 188,
+        "Netflix": 363,
+    },
+    "Pvect": {
+        "Audio": 489,
+        "BBC": 547,
+        "Banknote": 69,
+        "Bio response": 539,
+        "CPU": 210,
+        "EEG-eye": 149,
+        "KDDCup2k": 266,
+        "MSNBC": 181,
+        "Netflix": 360,
+    },
+}
+_FIG4_POINTS = [
+    (platform, name) for platform in ("Pvect", "Ptree") for name in GOLDEN_CYCLES[platform]
+]
 
 
 def _load_instruction(row: int, reg: int) -> Instruction:
@@ -67,7 +100,7 @@ class TestSingleOperation:
         config = ptree_config()
         program = _single_op_program(OP_ADD, config)
         expected = np.array([2.0, 3.0, 5.0])
-        result = Simulator(config, strict=True).run(program, [2.0, 3.0], expected)
+        result = Simulator(config).run(program, [2.0, 3.0], expected)
         assert result.value == pytest.approx(5.0)
 
     def test_strict_mode_detects_wrong_expectation(self):
@@ -75,7 +108,7 @@ class TestSingleOperation:
         program = _single_op_program(OP_ADD, config)
         wrong = np.array([2.0, 3.0, 99.0])
         with pytest.raises(VerificationError):
-            Simulator(config, strict=True).run(program, [2.0, 3.0], wrong)
+            Simulator(config).run(program, [2.0, 3.0], wrong)
 
     def test_cycle_count_includes_drain(self):
         config = ptree_config()
@@ -277,3 +310,40 @@ class TestResultExtraction:
         result = Simulator(config).run(program, [1.0, 2.0, 0.0])
         assert 0.0 < result.pe_utilization <= 1.0
         assert 0.0 < result.read_port_utilization <= 1.0
+
+
+class TestInputChecks:
+    def test_short_input_vector_detected(self):
+        config = ptree_config()
+        program = _single_op_program(OP_ADD, config)
+        with pytest.raises(StructuralHazardError, match="input slot 1"):
+            Simulator(config).run(program, [2.0])
+
+    def test_negative_image_slot_detected_not_wrapped(self):
+        """A negative dmem-image slot must raise, never read ``values[-1]``."""
+        config = ptree_config()
+        program = _single_op_program(OP_ADD, config)
+        program.dmem_image[0][1] = -1
+        with pytest.raises(StructuralHazardError, match="input slot -1"):
+            Simulator(config).run(program, [2.0, 3.0, 0.0])
+
+
+@pytest.fixture(scope="module")
+def fig4_kernels():
+    """The 18 Fig. 4 processor programs, compiled once for this module."""
+    configs = {"Pvect": pvect_config(), "Ptree": ptree_config()}
+    return {
+        (platform, name): compile_operation_list(
+            benchmark_operation_list(name), configs[platform]
+        )
+        for platform, name in _FIG4_POINTS
+    }
+
+
+class TestFig4Programs:
+    @pytest.mark.parametrize(
+        "platform,name", _FIG4_POINTS, ids=[f"{p}-{n}" for p, n in _FIG4_POINTS]
+    )
+    def test_cycles_match_golden(self, fig4_kernels, platform, name):
+        result = fig4_kernels[platform, name].run(None)
+        assert result.cycles == GOLDEN_CYCLES[platform][name]
