@@ -803,13 +803,17 @@ def measure_tape_memory(
     * **throughput** — planned wall-clock over an ``n_rows`` batch in both
       domains (best of ``repeats``).
 
-    Before any number is reported, the planned root is asserted
-    **bit-identical** (``array_equal``) to the dense root on a 256-row
-    prefix in both domains.  Returns a flat dict for the
-    ``tape_memory`` section of ``BENCH_sweeps.json``.
+    Before any number is reported, both the NumPy planned executor and
+    ``execute_batch`` (the native interpreter when it is available) are
+    asserted **bit-identical** (``array_equal``) to the dense root on a
+    256-row prefix in both domains; a log pass is held to the dense roots
+    combined by the same per-row rule
+    (:func:`~repro.spn.compiled.log_via_linear`).  Returns a flat dict for
+    the ``tape_memory`` section of ``BENCH_sweeps.json``.
     """
     import numpy as np
 
+    from ..spn.compiled import log_via_linear
     from ..spn.generate import random_evidence
     from ..spn.memplan import execute_plan
     from ..suite.registry import benchmark_n_vars, benchmark_names, benchmark_tape
@@ -822,12 +826,26 @@ def measure_tape_memory(
     data = random_evidence(n_vars, observed_fraction=0.6, seed=seed, n_samples=n_rows)
 
     prefix = data[:256]
+
+    def dense(rows, log=False):
+        return tape.execute_slots(rows, log_domain=log)[tape.root_slot]
+
     for log in (False, True):
-        dense = tape.execute_slots(prefix, log_domain=log)[tape.root_slot]
-        if not np.array_equal(execute_plan(plan, prefix, log), dense, equal_nan=True):
+        if not np.array_equal(execute_plan(plan, prefix, log), dense(prefix, log), equal_nan=True):
             raise AssertionError(
                 f"planned execution is not bit-identical to the dense slot "
                 f"matrix (log_domain={log})"
+            )
+        expected = (
+            log_via_linear(prefix, tape.linear_floor(), dense, lambda rows: dense(rows, True))
+            if log
+            else dense(prefix)
+        )
+        batch = tape.execute_batch(prefix, log_domain=log)
+        if not np.array_equal(batch, expected, equal_nan=True):
+            raise AssertionError(
+                f"execute_batch is not bit-identical to the dense slot matrix "
+                f"(log_domain={log})"
             )
     times: Dict[bool, float] = {}
     for log in (False, True):
@@ -1015,13 +1033,15 @@ def measure_observability_overhead(
 
     * **disabled** (``configure(metrics=False, tracing=False)``) — the
       instrumented :meth:`~repro.spn.compiled.CompiledTape.execute_batch`
-      against the raw planned kernel loops
-      (:func:`~repro.spn.memplan.execute_plan` on the same
-      :class:`~repro.spn.memplan.MemoryPlan`, linear and exact-log)
-      combined by the same per-row rule
-      (:func:`~repro.spn.compiled.log_via_linear`), so the ratio measures
-      instrumentation only.  The instrumentation adds one contextvar read
-      per batch; the gate requires the ratio <= 1.02.
+      against the raw executors it runs without a profiler on the same
+      :class:`~repro.spn.memplan.MemoryPlan` — the native interpreter
+      (:func:`repro.spn.native.execute`; NumPy's
+      :func:`~repro.spn.memplan.execute_plan` without a C compiler) for the
+      linear pass, ``execute_plan`` for the exact log kernels — combined by
+      the same per-row rule (:func:`~repro.spn.compiled.log_via_linear`),
+      so the ratio measures instrumentation only.  The instrumentation
+      adds one contextvar read per batch; the gate requires the ratio
+      <= 1.02.
     * **enabled** (metrics + tracing on) — :meth:`InferenceSession.run`
       with span recording against the same call with observability off.
       Spans amortize per *pass*, never per kernel; gate <= 1.10.
@@ -1040,6 +1060,7 @@ def measure_observability_overhead(
     from ..api.queries import LogLikelihood
     from ..api.session import InferenceSession
     from ..observability import TapeProfiler, observability_scope
+    from ..spn import native
     from ..spn.compiled import log_via_linear
     from ..spn.generate import random_evidence
     from ..spn.memplan import execute_plan
@@ -1056,12 +1077,14 @@ def measure_observability_overhead(
     session = InferenceSession(benchmark)
     query = LogLikelihood(evidence=evidence)
 
+    linear = native.execute if native.available() else execute_plan
+
     def run_raw():
         with observability_scope(metrics=False, tracing=False):
             return log_via_linear(
                 evidence,
                 tape.linear_floor(),
-                lambda rows: execute_plan(plan, rows),
+                lambda rows: linear(plan, rows),
                 lambda rows: execute_plan(plan, rows, log_domain=True),
             )
 

@@ -33,7 +33,8 @@ class PEValue:
     """A value travelling through the datapath, with its provenance.
 
     ``slot`` is the operation-list slot the value corresponds to when known
-    (used for strict-mode verification); ``None`` means "untracked".
+    (the simulator checks it on every transport, and the value too when it
+    has reference slots); ``None`` means "untracked".
     """
 
     value: float

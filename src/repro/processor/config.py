@@ -73,7 +73,7 @@ class ProcessorConfig:
             raise ValueError("dmem_rows must be >= 1")
         if self.load_latency < 1 or self.pe_latency < 1:
             raise ValueError("latencies must be >= 1")
-        # Every PE's write window, computed once: the compiler and the strict
+        # Every PE's write window, computed once: the compiler and the
         # simulator ask for one on each placement attempt and each write-back.
         # Not a dataclass field, so equality, hashing and repr ignore it.
         windows: Dict[Tuple[int, int, int], Tuple[int, ...]] = {}

@@ -1037,7 +1037,6 @@ class InferenceServer:
         closed and drained) records the thread as retired, which is how
         the supervisor tells a drained worker from a crashed one.
         """
-        self._prewarm_workspaces()
         while True:
             batch = self._queue.get_batch()
             if batch is None:
@@ -1222,24 +1221,6 @@ class InferenceServer:
                 n_rows=len(items),
             ):
                 return self._execute(served, key, items)
-
-    def _prewarm_workspaces(self) -> None:
-        """Preallocate this worker thread's per-model tape scratch buffers.
-
-        The memory-planned executor keeps one reusable physical-slot buffer
-        per (plan, thread); reserving it up to the batching policy's
-        ``max_batch_size`` here means no micro-batch of a model hosted at
-        worker startup ever pays a slot-matrix allocation — the buffers
-        live as long as the worker and are shared by every micro-batch of
-        the model.  A model registered *after* :meth:`start` warms on its
-        first micro-batch instead (the executor allocates the same
-        thread-local buffer on first use).  Iterates a snapshot: a
-        concurrent :meth:`add_model` must not kill the worker mid-scan.
-        """
-        for served in list(self._served.values()):
-            tape = served.tape
-            if tape is not None and tape.kernels:
-                tape.memory_plan().reserve(self.policy.max_batch_size)
 
     def _execute(
         self, served: ServedModel, key: tuple, items: Sequence[WorkItem]

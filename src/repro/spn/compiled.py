@@ -30,9 +30,12 @@ step) and fancy-indexed gathers otherwise.  The whole batch is evaluated
 with ``O(depth)`` NumPy calls instead of ``O(n_operations * n_rows)``
 Python bytecode.  Batches run the tape's memory plan
 (:mod:`repro.spn.memplan`): a physical-slot program whose working set is
-the tape's liveness peak, several times smaller than ``n_slots``.
+the tape's liveness peak, several times smaller than ``n_slots``.  Linear
+passes run that plan in the native interpreter (:mod:`repro.spn.native`)
+when a C compiler is available; the NumPy kernel loop runs the exact log
+kernels, profiled passes and everything on hosts without one.
 :meth:`CompiledTape.execute_slots` keeps the dense ``(n_slots, n_rows)``
-slot matrix as the reference the plan is bit-identical to.
+slot matrix as the reference both executors are bit-identical to.
 
 A log-domain pass (``log_domain=True``) runs the linear kernels and takes
 one ``np.log`` per row, keeping that answer for rows whose linear root lies
@@ -65,6 +68,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from ..observability.profile import active_profiler
+from . import native
 from .evaluate import MARGINALIZED, as_evidence_array
 from .graph import SPN, StructureError
 from .linearize import (
@@ -283,7 +287,7 @@ class CompiledTape:
         self._arg0_views = [_as_slice(k.arg0) for k in self.kernels]
         self._arg1_views = [_as_slice(k.arg1) for k in self.kernels]
         # The tape's one memory plan; see memory_plan().  The lock makes
-        # concurrent first calls (serving worker pools prewarming one tape)
+        # concurrent first calls (serving workers starting on one tape)
         # share a single plan — and therefore a single set of per-thread
         # scratch buffers.
         self._plan: Optional[MemoryPlan] = None
@@ -503,13 +507,22 @@ class CompiledTape:
         )
 
     def _execute_root(self, data: np.ndarray, log_domain: bool, profiler) -> np.ndarray:
-        """Root values of one batch in one domain, in cache-sized row blocks."""
+        """Root values of one batch in one domain.
+
+        Linear passes run the plan in the native interpreter
+        (:mod:`repro.spn.native`) when it is available.  The exact log
+        kernels, profiled passes (per-kernel clocks need per-kernel calls)
+        and hosts without a C compiler run NumPy's planned executor, in
+        cache-sized row blocks.
+        """
         if not self.kernels:
             # A kernel-less tape (the SPN is a single leaf) has no program
             # to plan; its slot matrix is the input block.
             return self.execute_slots(data, log_domain=log_domain)[self.root_slot].copy()
         plan = self.memory_plan()
         data = as_evidence_array(data)
+        if not log_domain and profiler is None and native.available():
+            return native.execute(plan, data)
         n_rows = data.shape[0]
         block = max(64, _BLOCK_BYTES // (8 * plan.n_physical))
         out = np.empty(n_rows, dtype=np.float64)

@@ -23,8 +23,9 @@ registers:
 * Planned kernel ``i`` is always tape kernel ``i``, laid out over
   physical rows: one gather/compute call per ``(level, opcode)`` kernel of
   the levelized tape (25 on Banknote up to 173 on BBC), in tape order.
-* :func:`execute_plan` executes a planned tape over a row block, reusing a
-  per-thread scratch buffer (``plan.workspace``).
+* :func:`execute_plan` executes a planned tape over a row block in NumPy,
+  reusing a per-thread scratch buffer (``plan.workspace``).  The native
+  interpreter (:mod:`repro.spn.native`) runs the same plan in C.
 
 Every physical-slot program computes exactly the same elementwise
 operations in exactly the same order as the dense executor, so planned
@@ -350,19 +351,15 @@ class MemoryPlan:
         """A ``(n_physical, n_rows)`` scratch block, reused across calls.
 
         Each thread keeps (at most) one buffer per plan, grown to the
-        largest row count seen; serving workers therefore execute every
-        micro-batch of a model in the same preallocated block instead of
-        allocating a fresh slot matrix per batch.
+        largest row count seen, so NumPy passes of a model on one thread
+        share one block instead of allocating a fresh slot matrix per
+        batch.  Native passes (:mod:`repro.spn.native`) never touch it.
         """
         buffer = getattr(self._scratch, "buffer", None)
         if buffer is None or buffer.shape[1] < n_rows:
             buffer = np.empty((self.n_physical, int(n_rows)), dtype=np.float64)
             self._scratch.buffer = buffer
         return buffer[:, :n_rows]
-
-    def reserve(self, n_rows: int) -> None:
-        """Preallocate the calling thread's scratch for ``n_rows`` rows."""
-        self.workspace(max(int(n_rows), 1))
 
 
 # --------------------------------------------------------------------------- #

@@ -1,0 +1,357 @@
+"""Native plan interpreter: one generic C loop runs every memory plan.
+
+The NumPy executor (:func:`repro.spn.memplan.execute_plan`) pays a few
+microseconds of dispatch per planned kernel whatever the row count, and a
+large batch streams every row block through memory once per kernel.  This
+module runs the same plan in C instead.  One model-independent function
+(:data:`_SOURCE`) walks the plan's kernels in plan order over blocks of up
+to 32 evidence rows, so a block's live rows stay in cache from the kernel
+that encodes them to the kernel that last reads them:
+
+* before a kernel, it encodes the kernel's fresh indicator rows from the
+  int64 evidence (1.0 when the value is negative, equals the indicator's
+  value, or its column is missing; 0.0 otherwise) and fills its constant
+  rows;
+* it then computes ``dest[j] = a[j] + b[j]`` or ``a[j] * b[j]`` for every
+  lane, an operand being a physical row or a broadcast constant;
+* the final kernel writes the root straight into the caller's output when
+  the plan is ``root_direct``; otherwise the root row is copied out once.
+
+The C reads the concatenated arrays that ``MemoryPlan.__post_init__``
+builds — the ones the static verifier proves — plus per-kernel counts and
+offsets derived from them with NumPy once per plan (:func:`_plan_args`),
+which also checks that every row lies inside the buffer, so a malformed
+plan raises in Python and never reaches C.
+
+Additions and multiplications run in plan order on IEEE doubles, compiled
+with ``-O3 -ffp-contract=off`` and no ``-ffast-math`` or ``-march``: the
+lane loops vectorize, nothing is reassociated or fused into an FMA, and
+every root is bit-identical to the NumPy executor's and to the dense
+``execute_slots`` reference.  The library is built lazily on the first
+native pass, once per process, with the system C compiler (``gcc`` or
+``cc``) in a private temporary directory that is removed once loaded;
+``ctypes`` releases the GIL for the call.  Each call allocates its own
+block buffer, so threads may run one plan concurrently.  Without a working
+compiler :func:`available` is ``False`` and every pass stays on NumPy.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import logging
+import shutil
+import subprocess
+import tempfile
+import threading
+from pathlib import Path
+from typing import Optional, Tuple
+
+import numpy as np
+
+__all__ = ["available", "execute"]
+
+logger = logging.getLogger("repro.spn")
+
+#: The interpreter.  Rows of a block sit ``stride`` doubles apart in the
+#: buffer (``stride`` = the block height, at most ``BLOCK``); each kernel
+#: is one ``FIELDS``-wide record of the table :func:`_plan_args` builds.
+_SOURCE = r"""
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+#define BLOCK 32
+
+enum { MUL, DEST, WIDTH, CONST0, OFF0, CONST1, OFF1, IND, N_IND, CST, N_CST, FIELDS };
+
+typedef struct {
+    int64_t n_kernels, n_physical, root_phys, root_direct;
+    const int64_t *kernels;
+    const int64_t *rows0, *rows1;
+    const double *consts0, *consts1;
+    const int64_t *ind_rows, *ind_vars, *ind_values, *const_rows;
+    const double *const_probs;
+} plan_t;
+
+#define LANE(X, Y)                                                       \
+    do {                                                                 \
+        if (mul) for (int64_t r = 0; r < nb; r++) d[r] = (X) * (Y);      \
+        else for (int64_t r = 0; r < nb; r++) d[r] = (X) + (Y);          \
+    } while (0)
+
+int run_plan(const plan_t *p, const int64_t *data, int64_t n_rows,
+             int64_t n_cols, double *out)
+{
+    const int64_t stride = n_rows < BLOCK ? n_rows : BLOCK;
+    double *buf = malloc(sizeof(double) * (size_t)(p->n_physical * stride));
+    if (buf == NULL) return -1;
+    for (int64_t r0 = 0; r0 < n_rows; r0 += BLOCK) {
+        const int64_t nb = n_rows - r0 < BLOCK ? n_rows - r0 : BLOCK;
+        const int64_t *ev = data + r0 * n_cols;
+        for (int64_t k = 0; k < p->n_kernels; k++) {
+            const int64_t *m = p->kernels + k * FIELDS;
+            for (int64_t i = m[IND]; i < m[IND] + m[N_IND]; i++) {
+                double *row = buf + p->ind_rows[i] * stride;
+                const int64_t var = p->ind_vars[i], value = p->ind_values[i];
+                for (int64_t r = 0; r < nb; r++) {
+                    const int64_t e = var < n_cols ? ev[r * n_cols + var] : -1;
+                    row[r] = (e < 0 || e == value) ? 1.0 : 0.0;
+                }
+            }
+            for (int64_t i = m[CST]; i < m[CST] + m[N_CST]; i++) {
+                double *row = buf + p->const_rows[i] * stride;
+                for (int64_t r = 0; r < nb; r++) row[r] = p->const_probs[i];
+            }
+            const int mul = m[MUL] != 0;
+            double *dest = p->root_direct && k == p->n_kernels - 1
+                ? out + r0 : buf + m[DEST] * stride;
+            for (int64_t j = 0; j < m[WIDTH]; j++) {
+                double *d = dest + j * stride;
+                const double *a = buf + (m[CONST0] ? 0 : p->rows0[m[OFF0] + j] * stride);
+                const double *b = buf + (m[CONST1] ? 0 : p->rows1[m[OFF1] + j] * stride);
+                const double ca = m[CONST0] ? p->consts0[m[OFF0] + j] : 0.0;
+                const double cb = m[CONST1] ? p->consts1[m[OFF1] + j] : 0.0;
+                if (!m[CONST0] && !m[CONST1]) LANE(a[r], b[r]);
+                else if (!m[CONST1]) LANE(ca, b[r]);
+                else if (!m[CONST0]) LANE(a[r], cb);
+                else LANE(ca, cb);
+            }
+        }
+        if (!p->root_direct)
+            memcpy(out + r0, buf + p->root_phys * stride, sizeof(double) * (size_t)nb);
+    }
+    free(buf);
+    return 0;
+}
+"""
+
+_P64 = ctypes.POINTER(ctypes.c_int64)
+_PF64 = ctypes.POINTER(ctypes.c_double)
+
+
+class _Plan(ctypes.Structure):
+    _fields_ = [
+        ("n_kernels", ctypes.c_int64),
+        ("n_physical", ctypes.c_int64),
+        ("root_phys", ctypes.c_int64),
+        ("root_direct", ctypes.c_int64),
+        ("kernels", _P64),
+        ("rows0", _P64),
+        ("rows1", _P64),
+        ("consts0", _PF64),
+        ("consts1", _PF64),
+        ("ind_rows", _P64),
+        ("ind_vars", _P64),
+        ("ind_values", _P64),
+        ("const_rows", _P64),
+        ("const_probs", _PF64),
+    ]
+
+
+_UNBUILT = object()
+#: The loaded ``run_plan``, ``None`` when no build works, or ``_UNBUILT``.
+_function = _UNBUILT
+_BUILD_LOCK = threading.Lock()
+
+
+def _find_compiler() -> Optional[str]:
+    """The system C compiler's path, or ``None``."""
+    for name in ("gcc", "cc"):
+        path = shutil.which(name)
+        if path is not None:
+            return path
+    return None
+
+
+def _build() -> Tuple[Optional[object], str]:
+    """Compile and load the interpreter: ``(run_plan, "")`` or ``(None, why)``."""
+    compiler = _find_compiler()
+    if compiler is None:
+        return None, "no C compiler (gcc or cc) on PATH"
+    try:
+        with tempfile.TemporaryDirectory(
+            prefix="repro-native-", ignore_cleanup_errors=True
+        ) as tmp:
+            source = Path(tmp) / "plan.c"
+            library = Path(tmp) / "plan.so"
+            source.write_text(_SOURCE)
+            command = [
+                compiler, "-O3", "-ffp-contract=off", "-shared", "-fPIC",
+                "-o", str(library), str(source),
+            ]
+            built = subprocess.run(
+                command, capture_output=True, text=True, errors="replace", timeout=120
+            )
+            if built.returncode != 0:
+                return None, f"{compiler} failed: {built.stderr.strip()[-500:]}"
+            run_plan = ctypes.CDLL(str(library)).run_plan
+    except (OSError, subprocess.SubprocessError, AttributeError) as exc:
+        return None, f"building or loading with {compiler} failed: {exc}"
+    run_plan.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+    ]
+    run_plan.restype = ctypes.c_int
+    return run_plan, ""
+
+
+def available() -> bool:
+    """Whether passes run natively; builds the interpreter on the first call."""
+    global _function
+    if _function is _UNBUILT:
+        reason = ""
+        with _BUILD_LOCK:
+            if _function is _UNBUILT:
+                _function, reason = _build()
+        if reason:
+            logger.warning(
+                "native plan interpreter unavailable, tape passes run on NumPy: %s", reason
+            )
+    return _function is not None
+
+
+def _plan_args(plan) -> tuple:
+    """The C view of ``plan``: ``(struct address, arrays kept alive)``, cached.
+
+    Derived once per plan from the arrays ``MemoryPlan.__post_init__``
+    concatenates, with no per-kernel Python loop.  Raises ``ValueError``
+    when a count, offset or row of the plan does not fit its buffer.
+    """
+    cached = getattr(plan, "_native_args", None)
+    if cached is not None:
+        return cached
+    meta = plan._kernel_meta
+    n_kernels = meta.size
+    n_physical = int(plan.n_physical)
+    start = meta["start"]
+    widths = meta["stop"] - start
+
+    def fail(what: str):
+        raise ValueError(f"malformed memory plan: {what}")
+
+    def int64(values) -> np.ndarray:
+        return np.ascontiguousarray(values, dtype=np.int64)
+
+    def rows_in_range(rows: np.ndarray, what: str) -> np.ndarray:
+        rows = int64(rows)
+        if rows.size and (int(rows.min()) < 0 or int(rows.max()) >= n_physical):
+            fail(f"{what} outside the {n_physical}-row buffer")
+        return rows
+
+    def exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
+        return np.cumsum(counts) - counts
+
+    if n_kernels == 0:
+        fail("no kernels")
+    if not 0 <= plan.root_phys < n_physical:
+        fail(f"root row {plan.root_phys} outside the {n_physical}-row buffer")
+    if bool((meta["mul"] == meta["add"]).any()):
+        fail("a kernel is neither one add nor one mul")
+    if bool((start < 0).any() or (widths < 1).any() or (meta["stop"] > n_physical).any()):
+        fail(f"a destination interval outside the {n_physical}-row buffer")
+    if plan.root_direct and widths[-1] != 1:
+        fail("root_direct with a final kernel wider than one lane")
+
+    sides = []
+    for side in (0, 1):
+        is_const = meta[f"c{side}"]
+        counts, rows, _ = plan._operand_meta[side]
+        const_counts, consts = plan._const_meta[side]
+        open_widths = widths[~is_const]
+        const_widths = widths[is_const]
+        if not (
+            np.array_equal(counts, open_widths)
+            and rows.size == int(open_widths.sum())
+            and np.array_equal(const_counts, const_widths)
+            and consts.size == int(const_widths.sum())
+        ):
+            fail(f"operand {side} counts do not match the kernel widths")
+        open_offsets = exclusive_cumsum(np.where(is_const, 0, widths))
+        const_offsets = exclusive_cumsum(np.where(is_const, widths, 0))
+        sides.append((  # (flag, offset, rows, constants)
+            is_const,
+            np.where(is_const, const_offsets, open_offsets),
+            rows_in_range(rows, f"operand {side} rows"),
+            np.ascontiguousarray(consts, dtype=np.float64),
+        ))
+
+    ind_g, ind_rows, ind_vars, ind_values, const_g, const_rows, const_probs, _ = plan._encode_meta
+    encodes = []
+    for groups, rows in ((ind_g, ind_rows), (const_g, const_rows)):
+        ordered = not groups.size or (
+            int(groups[0]) >= 0
+            and int(groups[-1]) < n_kernels
+            and bool((np.diff(groups) >= 0).all())
+        )
+        if groups.size != rows.size or not ordered:
+            fail("encode records out of kernel order")
+        counts = np.bincount(groups, minlength=n_kernels)
+        encodes.append((exclusive_cumsum(counts), counts))  # (offset, count)
+    if ind_vars.size != ind_rows.size or ind_values.size != ind_rows.size:
+        fail("indicator encode columns differ in length")
+    if const_probs.size != const_rows.size:
+        fail("constant encode columns differ in length")
+    if ind_vars.size and int(ind_vars.min()) < 0:
+        fail("a negative indicator variable")
+
+    # The C reads lanes [offset, offset + width) of each operand array and
+    # records [offset, offset + count) of each encode array.
+    for is_const, offsets, rows, consts in sides:
+        limits = np.where(is_const, consts.size, rows.size)
+        if bool((offsets < 0).any() or (offsets + widths > limits).any()):
+            fail("an operand offset runs past its array")
+    for (offsets, counts), size in zip(encodes, (ind_rows.size, const_rows.size)):
+        if bool((offsets < 0).any() or (offsets + counts > size).any()):
+            fail("an encode offset runs past its array")
+
+    # One row per kernel, columns in the order of the C enum.
+    kernels = np.stack(
+        [meta["mul"], start, widths, *sides[0][:2], *sides[1][:2], *encodes[0], *encodes[1]],
+        axis=1,
+    )
+    arrays = {
+        "kernels": int64(kernels),
+        "rows0": sides[0][2],
+        "rows1": sides[1][2],
+        "consts0": sides[0][3],
+        "consts1": sides[1][3],
+        "ind_rows": rows_in_range(ind_rows, "indicator rows"),
+        "ind_vars": int64(ind_vars),
+        "ind_values": int64(ind_values),
+        "const_rows": rows_in_range(const_rows, "constant rows"),
+        "const_probs": np.ascontiguousarray(const_probs, dtype=np.float64),
+    }
+    struct = _Plan(
+        n_kernels=n_kernels,
+        n_physical=n_physical,
+        root_phys=int(plan.root_phys),
+        root_direct=int(bool(plan.root_direct)),
+        **{
+            name: array.ctypes.data_as(_PF64 if array.dtype == np.float64 else _P64)
+            for name, array in arrays.items()
+        },
+    )
+    plan._native_args = cached = (ctypes.addressof(struct), (struct, arrays))
+    return cached
+
+
+def execute(plan, data: np.ndarray) -> np.ndarray:
+    """Root values of a linear pass of ``plan`` over an evidence batch.
+
+    ``data`` is a validated ``(n_rows, n_cols)`` evidence array
+    (:func:`repro.spn.evaluate.as_evidence_array`).  The answer is
+    bit-identical to :func:`repro.spn.memplan.execute_plan` in the linear
+    domain.  Raises ``RuntimeError`` when the interpreter is not
+    :func:`available`.
+    """
+    if not available():
+        raise RuntimeError("the native plan interpreter is not available")
+    address, _ = _plan_args(plan)
+    data = np.ascontiguousarray(data, dtype=np.int64)
+    n_rows, n_cols = data.shape
+    out = np.empty(n_rows, dtype=np.float64)
+    if n_rows and _function(address, data.ctypes.data, n_rows, n_cols, out.ctypes.data):
+        raise MemoryError(
+            f"native plan interpreter could not allocate {plan.n_physical} x "
+            f"{min(n_rows, 32)} block rows"
+        )
+    return out

@@ -1,5 +1,10 @@
 """Integration tests for the experiment drivers (fast subsets only)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.metrics import PlatformResult
@@ -58,6 +63,18 @@ class TestTable1:
     def test_main_renders(self):
         text = table1.main()
         assert "Table I" in text and "Ptree" in text
+
+    def test_module_cli_runs_its_module_once(self):
+        # The package loads its submodules lazily, so runpy does not find
+        # ``repro.experiments.table1`` already imported and run it twice.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.experiments.table1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.count("Table I") == 1
 
 
 class TestFig2c:

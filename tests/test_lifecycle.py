@@ -105,13 +105,16 @@ def _version_1_document(artifact, fuse: bool = True, fuse_width: int = 128) -> d
 
 def _assert_serves_only_its_plan(loaded, monkeypatch) -> None:
     """Serving a query on ``loaded`` plans nothing and executes only the
-    plan it shipped (and that load verified)."""
+    plan it shipped (and that load verified), whether the pass runs in the
+    native interpreter or in NumPy's planned executor."""
     import repro.spn.compiled as compiled
     from repro.api import LogLikelihood
+    from repro.spn import native
     from repro.spn.memplan import MemoryPlan
 
     planned, executed = [], []
     plan_memory, workspace = compiled.plan_memory, MemoryPlan.workspace
+    execute_native = native.execute
 
     def counting_plan_memory(*args, **kwargs):
         planned.append(args)
@@ -121,8 +124,13 @@ def _assert_serves_only_its_plan(loaded, monkeypatch) -> None:
         executed.append(plan)
         return workspace(plan, n_rows)
 
+    def recording_native(plan, data):
+        executed.append(plan)
+        return execute_native(plan, data)
+
     monkeypatch.setattr(compiled, "plan_memory", counting_plan_memory)
     monkeypatch.setattr(MemoryPlan, "workspace", recording_workspace)
+    monkeypatch.setattr(native, "execute", recording_native)
     evidence = golden_evidence(loaded.n_vars)
     loaded.session().run(LogLikelihood(evidence=evidence))
     assert planned == []

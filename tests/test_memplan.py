@@ -216,7 +216,7 @@ class TestExecutors:
             assert benchmark_tape(name).memory_plan().root_direct
 
     def test_concurrent_first_calls_share_one_plan(self):
-        # Serving workers prewarm one tape concurrently: every first call
+        # Serving workers start on one tape concurrently: every first call
         # must get the same plan (and so the same per-thread scratch).
         tape = compile_tape(benchmark_operation_list("KDDCup2k"))
         n_threads = 8
@@ -239,7 +239,6 @@ class TestExecutors:
     def test_workspace_is_reused_per_thread(self):
         tape = benchmark_tape("Banknote")
         plan = tape.memory_plan()
-        plan.reserve(64)
         first = plan.workspace(64)
         second = plan.workspace(32)
         assert second.base is first or second.base is first.base

@@ -56,6 +56,18 @@ class TestEngineAgreement:
         vectorized = evaluate_log_batch(spn, data, engine="vectorized")
         np.testing.assert_allclose(vectorized, reference, rtol=1e-9, atol=1e-12)
 
+    @_SETTINGS
+    @given(config=rat_configs, seed=st.integers(0, 1000), n_rows=st.integers(1, 70))
+    def test_batch_root_equals_dense_reference(self, config, seed, n_rows):
+        """``execute_batch`` (the native interpreter when a C compiler is
+        available) is bit-identical to the dense slot matrix's root."""
+        tape = compile_tape(generate_rat_spn(config))
+        data = random_evidence(
+            config.n_vars, observed_fraction=0.7, seed=seed, n_samples=n_rows
+        )
+        dense = tape.execute_slots(data)[tape.root_slot]
+        assert np.array_equal(tape.execute_batch(data), dense)
+
     def test_log_domain_handles_zero_probability_rows(self):
         # An indicator-only network where evidence can contradict the model.
         spn = SPN()
