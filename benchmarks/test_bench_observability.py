@@ -18,6 +18,10 @@ default sweep benchmark's tape) in three regimes:
   genuinely expensive instrument, and they are per-call opt-in only), but
   the per-kernel elapsed must account for **>= 90%** of the profiled pass
   wall time, or the "top kernels" table would be attributing fiction.
+  A profiled pass runs NumPy's per-kernel loop, so ``overhead_profiled``
+  is taken against a NumPy raw arm (``t_raw_numpy_loop_s``), not the
+  native one the disabled gate uses: it reports what profiling costs, not
+  the gap between the two executors.
 
 Every regime's output is asserted bit-identical to the raw loop inside
 the measurement.  Results land in the ``observability`` section of
@@ -91,6 +95,7 @@ def test_observability_overhead(benchmark, run_once):
             "overhead_profiled": round(result["overhead_profiled"], 4),
             "profile_coverage": round(result["profile_coverage"], 4),
             "t_raw_loop_ms": round(result["t_raw_loop_s"] * 1e3, 3),
+            "t_raw_numpy_loop_ms": round(result["t_raw_numpy_loop_s"] * 1e3, 3),
             "n_kernels": result["n_kernels"],
             "cpu_count": result["cpu_count"],
         }

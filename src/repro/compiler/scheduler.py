@@ -655,12 +655,24 @@ class Scheduler:
         current = read_cells.get(source[0])
         if current is not None and current != source:
             return False
+        co_readers = self._conflicts.get(slot, ())
         conflict_banks = {
             self._current_cell(other)[0]
-            for other in self._conflicts.get(slot, ())
+            for other in co_readers
             if self._current_cell(other) is not None
         }
         conflict_banks.add(source[0])
+        if len(conflict_banks) >= config.n_banks:
+            # A widely shared slot's co-readers can cover every bank, most of
+            # them read by cones that already issued; the copy would then
+            # never issue.  Only co-readers still to be read constrain it.
+            conflict_banks = {
+                self._current_cell(other)[0]
+                for other in co_readers
+                if self._remaining_refs.get(other, 0) > 0
+                and self._current_cell(other) is not None
+            }
+            conflict_banks.add(source[0])
         commit = cycle + config.result_latency(1)
         for tree in range(config.n_trees):
             for pos in range(config.leaf_pes_per_tree):

@@ -23,16 +23,24 @@ offsets derived from them with NumPy once per plan (:func:`_plan_args`),
 which also checks that every row lies inside the buffer, so a malformed
 plan raises in Python and never reaches C.
 
-Additions and multiplications run in plan order on IEEE doubles, compiled
-with ``-O3 -ffp-contract=off`` and no ``-ffast-math`` or ``-march``: the
-lane loops vectorize, nothing is reassociated or fused into an FMA, and
-every root is bit-identical to the NumPy executor's and to the dense
-``execute_slots`` reference.  The library is built lazily on the first
-native pass, once per process, with the system C compiler (``gcc`` or
-``cc``) in a private temporary directory that is removed once loaded;
-``ctypes`` releases the GIL for the call.  Each call allocates its own
-block buffer, so threads may run one plan concurrently.  Without a working
-compiler :func:`available` is ``False`` and every pass stays on NumPy.
+Additions and multiplications run in plan order on IEEE doubles.  The
+library is compiled for the CPU that runs it (:data:`HOST_FLAGS`,
+``-O3 -march=native -ffp-contract=off``), so the lane loops use the
+host's widest vectors; a compiler that rejects ``-march=native`` builds
+it with :data:`PORTABLE_FLAGS` instead.  Either way every root is
+bit-identical to the NumPy executor's and to the dense ``execute_slots``
+reference: ``-march`` only widens the instruction set, and each vector
+lane still does one IEEE add or multiply, rounded as a scalar one;
+``-ffp-contract=off`` forbids fusing a multiply and an add into an FMA;
+and without ``-ffast-math`` nothing is reassociated, approximated or
+flushed to zero.  The library is built lazily on the first native pass,
+once per process, with the system C compiler (``gcc`` or ``cc``) in a
+private temporary directory that is removed once loaded, so it never
+runs on another machine; :func:`build_flags` names the flag set it was
+built with.  ``ctypes`` releases the GIL for the call.  Each call
+allocates its own block buffer, so threads may run one plan
+concurrently.  Without a working compiler :func:`available` is ``False``
+and every pass stays on NumPy.
 """
 
 from __future__ import annotations
@@ -44,11 +52,11 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["available", "execute"]
+__all__ = ["HOST_FLAGS", "PORTABLE_FLAGS", "available", "build_flags", "execute"]
 
 logger = logging.getLogger("repro.spn")
 
@@ -148,9 +156,16 @@ class _Plan(ctypes.Structure):
     ]
 
 
+#: Compiler flags, tried in this order: the host's full instruction set,
+#: then baseline code for compilers that reject ``-march=native``.
+HOST_FLAGS = ("-O3", "-march=native", "-ffp-contract=off")
+PORTABLE_FLAGS = ("-O3", "-ffp-contract=off")
+
 _UNBUILT = object()
 #: The loaded ``run_plan``, ``None`` when no build works, or ``_UNBUILT``.
 _function = _UNBUILT
+#: The flags ``_function`` was built with; ``()`` when it is not loaded.
+_flags: Tuple[str, ...] = ()
 _BUILD_LOCK = threading.Lock()
 
 
@@ -163,11 +178,20 @@ def _find_compiler() -> Optional[str]:
     return None
 
 
-def _build() -> Tuple[Optional[object], str]:
-    """Compile and load the interpreter: ``(run_plan, "")`` or ``(None, why)``."""
+def _build(
+    flag_sets: Sequence[Tuple[str, ...]] = (),
+) -> Tuple[Optional[object], Tuple[str, ...], str]:
+    """Compile and load the interpreter with the first flag set that compiles.
+
+    ``flag_sets`` defaults to :data:`HOST_FLAGS`, then :data:`PORTABLE_FLAGS`;
+    the next set is tried only when the compiler exits non-zero.  Returns
+    ``(run_plan, flags, note)``, ``note`` saying why an earlier set was
+    passed over, or ``(None, (), why)``.
+    """
     compiler = _find_compiler()
     if compiler is None:
-        return None, "no C compiler (gcc or cc) on PATH"
+        return None, (), "no C compiler (gcc or cc) on PATH"
+    rejected = []
     try:
         with tempfile.TemporaryDirectory(
             prefix="repro-native-", ignore_cleanup_errors=True
@@ -175,38 +199,59 @@ def _build() -> Tuple[Optional[object], str]:
             source = Path(tmp) / "plan.c"
             library = Path(tmp) / "plan.so"
             source.write_text(_SOURCE)
-            command = [
-                compiler, "-O3", "-ffp-contract=off", "-shared", "-fPIC",
-                "-o", str(library), str(source),
-            ]
-            built = subprocess.run(
-                command, capture_output=True, text=True, errors="replace", timeout=120
-            )
-            if built.returncode != 0:
-                return None, f"{compiler} failed: {built.stderr.strip()[-500:]}"
+            for flags in flag_sets or (HOST_FLAGS, PORTABLE_FLAGS):
+                command = [compiler, *flags, "-shared", "-fPIC", "-o", str(library), str(source)]
+                built = subprocess.run(
+                    command, capture_output=True, text=True, errors="replace", timeout=120
+                )
+                if built.returncode == 0:
+                    break
+                rejected.append(
+                    f"{compiler} {' '.join(flags)} failed: {built.stderr.strip()[-500:]}"
+                )
+            else:
+                return None, (), "; ".join(rejected)
             run_plan = ctypes.CDLL(str(library)).run_plan
     except (OSError, subprocess.SubprocessError, AttributeError) as exc:
-        return None, f"building or loading with {compiler} failed: {exc}"
+        return None, (), f"building or loading with {compiler} failed: {exc}"
     run_plan.argtypes = [
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
     ]
     run_plan.restype = ctypes.c_int
-    return run_plan, ""
+    return run_plan, flags, "; ".join(rejected)
 
 
 def available() -> bool:
     """Whether passes run natively; builds the interpreter on the first call."""
-    global _function
+    global _function, _flags
     if _function is _UNBUILT:
-        reason = ""
+        function = _UNBUILT
         with _BUILD_LOCK:
             if _function is _UNBUILT:
-                _function, reason = _build()
-        if reason:
+                function, flags, note = _build()
+                _flags, _function = flags, function
+        if function is None:
             logger.warning(
-                "native plan interpreter unavailable, tape passes run on NumPy: %s", reason
+                "native plan interpreter unavailable, tape passes run on NumPy: %s", note
             )
+        elif function is not _UNBUILT:  # this call built it
+            if note:
+                logger.warning(
+                    "native plan interpreter built with %s (%s)", " ".join(flags), note
+                )
+            else:
+                logger.info("native plan interpreter built with %s", " ".join(flags))
     return _function is not None
+
+
+def build_flags() -> Tuple[str, ...]:
+    """The compiler flags the loaded interpreter was built with.
+
+    :data:`HOST_FLAGS` or :data:`PORTABLE_FLAGS`; ``()`` when passes run on
+    NumPy.  Builds the interpreter on the first call, like :func:`available`.
+    """
+    available()
+    return _flags
 
 
 def _plan_args(plan) -> tuple:

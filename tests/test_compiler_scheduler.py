@@ -11,10 +11,11 @@ from collections import defaultdict
 
 import pytest
 
-from repro.compiler.driver import compile_operation_list
+from repro.compiler.driver import compile_operation_list, compile_spn, verify_program
 from repro.compiler.scheduler import ScheduleOptions
 from repro.processor.config import ptree_config, pvect_config
 from repro.processor.isa import OP_NOP
+from repro.spn.generate import GeneratorConfig, generate_spn
 from repro.suite.registry import benchmark_operation_list
 
 
@@ -136,3 +137,15 @@ class TestScheduleQuality:
         kernel = compile_operation_list(ops, ptree_config())
         per_cycle = [len(i.writes) for i in kernel.program.instructions if i.writes]
         assert max(per_cycle) > 1
+
+
+class TestRelocationCopies:
+    @pytest.mark.parametrize("seed", [5, 14, 17, 24, 26])
+    def test_shared_input_covering_every_bank_still_relocates(self, seed):
+        # A slot read together with inputs in all 32 banks (slot 20 of seed 5
+        # has 60+ co-readers): the relocation copy must still find a bank,
+        # or the cone that asked for it never issues.
+        spn = generate_spn(GeneratorConfig(n_vars=6 + seed % 10, seed=seed))
+        kernel = compile_spn(spn, ptree_config())
+        assert kernel.stats.n_copies > 0
+        assert verify_program(kernel, [None, {0: 1}])

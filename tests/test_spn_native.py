@@ -1,14 +1,17 @@
 """Tests for the native plan interpreter (:mod:`repro.spn.native`).
 
 Covers bit-identity with the dense reference (``execute_slots``) across
-block boundaries, evidence widths and dtypes, that linear passes really run
-natively when a compiler exists (and profiled or exact-log passes do not),
-the NumPy fallback when no compiler is found, the plan checks that keep a
-malformed plan out of C, concurrent passes over one plan, and one build
+block boundaries, evidence widths and dtypes, on the host-width build and
+on the portable one; that linear passes really run natively when a
+compiler exists (and profiled or exact-log passes do not); the fallback
+chain (a compiler that rejects the host-width flags builds the portable
+library, no working build runs NumPy); the plan checks that keep a
+malformed plan out of C; concurrent passes over one plan; and one build
 under concurrent first calls.
 """
 
 import logging
+import os
 import sys
 import threading
 import time
@@ -51,8 +54,35 @@ def evidence(name, n_rows, width=None, seed=0):
     return np.concatenate([data, extra], axis=1)
 
 
+@pytest.fixture(scope="module")
+def builds():
+    """Each flag set's interpreter, built once per module (``None``: rejected)."""
+    return {
+        flags: native._build((flags,))[0]
+        for flags in (native.HOST_FLAGS, native.PORTABLE_FLAGS)
+    }
+
+
+def forget_build(monkeypatch):
+    """Forget the loaded interpreter, so the next pass builds it again."""
+    monkeypatch.setattr(native, "_function", native._UNBUILT)
+    monkeypatch.setattr(native, "_flags", ())
+
+
 @needs_compiler
 class TestBitIdentity:
+    """The identity matrix on the host-width build."""
+
+    FLAGS = native.HOST_FLAGS
+
+    @pytest.fixture(autouse=True)
+    def _use_build(self, builds, monkeypatch):
+        function = builds[self.FLAGS]
+        if function is None:
+            pytest.skip(f"the compiler rejects {' '.join(self.FLAGS)}")
+        monkeypatch.setattr(native, "_function", function)
+        monkeypatch.setattr(native, "_flags", self.FLAGS)
+
     @pytest.mark.parametrize("name", benchmark_names())
     @pytest.mark.parametrize("n_rows", [0, 1, 31, 32, 33, 100])
     def test_suite_roots_equal_dense_reference(self, name, n_rows):
@@ -132,6 +162,12 @@ class TestBitIdentity:
         assert np.array_equal(tape.execute_batch(view), dense_root(tape, view))
 
 
+class TestPortableBitIdentity(TestBitIdentity):
+    """The same matrix on the portable build, which hosts load when ``-march=native`` fails."""
+
+    FLAGS = native.PORTABLE_FLAGS
+
+
 @needs_compiler
 class TestDispatch:
     def test_linear_passes_run_native(self, monkeypatch):
@@ -185,16 +221,24 @@ class TestDispatch:
 
 
 class TestBuild:
+    @pytest.mark.skipif(
+        os.path.basename(native._find_compiler() or "") != "gcc",
+        reason="only gcc is relied on to accept -march=native",
+    )
+    def test_default_build_is_host_width(self):
+        assert native.available()
+        assert native.build_flags() == native.HOST_FLAGS
+
     def test_concurrent_first_calls_build_once(self, monkeypatch):
         built = []
 
         def slow_build():
             built.append(threading.get_ident())
             time.sleep(0.05)
-            return (lambda *args: 0), ""
+            return (lambda *args: 0), native.HOST_FLAGS, ""
 
         monkeypatch.setattr(native, "_build", slow_build)
-        monkeypatch.setattr(native, "_function", native._UNBUILT)
+        forget_build(monkeypatch)
         n_threads = 8
         start = threading.Barrier(n_threads, timeout=30)
 
@@ -211,6 +255,7 @@ class TestBuild:
             sys.setswitchinterval(interval)
         assert results == [True] * n_threads
         assert len(built) == 1
+        assert native.build_flags() == native.HOST_FLAGS
 
 
 def _failing_temp_dir(*args, **kwargs):
@@ -225,23 +270,68 @@ class TestFallback:
         tape = benchmark_tape("MSNBC")
         data = evidence("MSNBC", 45)
         before = tape.execute_batch(data), tape.execute_batch(data, log_domain=True)
+        compiles = []
+        run = native.subprocess.run
+
+        def counted_run(command, **kwargs):
+            compiles.append(command)
+            return run(command, **kwargs)
+
+        monkeypatch.setattr(native.subprocess, "run", counted_run)
         if failure == "no compiler":
             monkeypatch.setattr(native, "_find_compiler", lambda: None)
         elif failure == "compiler missing":
             monkeypatch.setattr(native, "_find_compiler", lambda: "/nonexistent/cc")
         else:
             monkeypatch.setattr(native.tempfile, "TemporaryDirectory", _failing_temp_dir)
-        monkeypatch.setattr(native, "_function", native._UNBUILT)
+        forget_build(monkeypatch)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="repro.spn"):
             assert not native.available()
             assert not native.available()
         warnings = [r for r in caplog.records if "NumPy" in r.getMessage()]
         assert len(warnings) == 1  # logged once, not per pass
+        assert native.build_flags() == ()
+        # Only a compiler that ran and exited non-zero gets the portable flags.
+        assert len(compiles) == (1 if failure == "compiler missing" else 0)
         after = tape.execute_batch(data), tape.execute_batch(data, log_domain=True)
         assert np.array_equal(after[0], before[0])
         assert np.array_equal(after[1], before[1])
         assert np.array_equal(after[0], dense_root(tape, data))
+
+    @needs_compiler
+    def test_rejected_host_flags_build_portable_with_identical_answers(
+        self, monkeypatch, caplog
+    ):
+        tape = benchmark_tape("KDDCup2k")
+        data = evidence("KDDCup2k", 45)
+        expected = dense_root(tape, data)
+        before_log = tape.execute_batch(data, log_domain=True)
+        # An unknown flag makes the compiler exit non-zero, as one that
+        # rejects -march=native does.
+        monkeypatch.setattr(native, "HOST_FLAGS", (*native.HOST_FLAGS, "-fno-such-option"))
+        calls = []
+        execute = native.execute
+
+        def spy(plan, rows):
+            calls.append(len(rows))
+            return execute(plan, rows)
+
+        monkeypatch.setattr(native, "execute", spy)
+        forget_build(monkeypatch)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="repro.spn"):
+            assert native.available()
+            assert native.available()
+        assert native.build_flags() == native.PORTABLE_FLAGS
+        records = [r for r in caplog.records if "native plan interpreter" in r.getMessage()]
+        assert len(records) == 1  # logged once, not per pass
+        assert records[0].levelno == logging.WARNING
+        assert "-fno-such-option" in records[0].getMessage()
+        assert " ".join(native.PORTABLE_FLAGS) in records[0].getMessage()
+        assert np.array_equal(tape.execute_batch(data), expected)
+        assert np.array_equal(tape.execute_batch(data, log_domain=True), before_log)
+        assert calls == [45, 45]  # both passes ran on the portable build
 
 
 class TestPlanChecks:
