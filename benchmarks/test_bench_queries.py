@@ -11,9 +11,8 @@ times both on a suite benchmark:
   ``engine="python"`` reference walk: what a scalar caller paid before the
   typed API existed (conditionals could not reach the batched engines at
   all);
-* **per-row scalar (session)** — the deprecated wrapper
-  (:func:`repro.spn.queries.conditional`), now a single-row vectorized
-  session per call;
+* **per-row scalar (session)** — one single-row ``session.run`` per
+  answer on the vectorized session;
 * **batched** — one ``InferenceSession.run(Conditional(...))`` over the
   whole batch.
 

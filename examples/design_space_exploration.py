@@ -28,7 +28,7 @@ from repro.analysis import format_table
 from repro.compiler import ScheduleOptions, compile_operation_list
 from repro.experiments import sweeps
 from repro.processor import ProcessorConfig
-from repro.suite import benchmark_evaluate_batch, benchmark_operation_list
+from repro.suite import benchmark_operation_list, benchmark_tape
 from repro.spn.generate import random_evidence
 
 BENCHMARK = "KDDCup2k"
@@ -119,11 +119,12 @@ def engine_speedup_line() -> str:
     from repro.baselines import execute_baseline
 
     start = time.perf_counter()
-    reference = execute_baseline(ops, data, engine="python")
+    reference = execute_baseline(ops, data)
     t_reference = time.perf_counter() - start
-    benchmark_evaluate_batch(BENCHMARK, data)  # compile + warm the cached tape
+    tape = benchmark_tape(BENCHMARK)
+    tape.execute_batch(data)  # plan + warm the tape
     start = time.perf_counter()
-    vectorized = benchmark_evaluate_batch(BENCHMARK, data, engine="vectorized")
+    vectorized = tape.execute_batch(data)
     t_vectorized = time.perf_counter() - start
     assert np.allclose(vectorized, reference, rtol=1e-9, atol=0.0)
     return (

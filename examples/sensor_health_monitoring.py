@@ -118,7 +118,7 @@ def main() -> None:
           f"({sequential_s / streamed_s:.1f}x)")
     print("  (this demo model is tiny — ~300 ops — so per-call overhead, not "
           "compute, is the bottleneck;\n   on suite-sized networks dynamic "
-          "batching wins >10x: see the 'serving' section of BENCH_sweeps.json)")
+          "batching wins ~2-3x: see the 'serving' section of BENCH_sweeps.json)")
 
 
 if __name__ == "__main__":

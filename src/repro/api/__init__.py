@@ -25,10 +25,9 @@ Quick tour::
 The same query objects serialize losslessly (:func:`serialize_query` /
 :func:`deserialize_query`) and travel through the serving layer
 (:mod:`repro.serving`) unchanged, so a served answer is bit-identical to an
-offline :meth:`InferenceSession.run`.  The scalar functions in
-:mod:`repro.spn.queries` are deprecated thin wrappers over single-row
-sessions.  See ``docs/queries.md`` for the full taxonomy, session
-lifecycle and planning rules.
+offline :meth:`InferenceSession.run`.  A single answer is a one-row
+batch through the same session.  See ``docs/queries.md`` for the full
+taxonomy, session lifecycle and planning rules.
 """
 
 from .queries import (
@@ -51,7 +50,7 @@ from .queries import (
     query_type,
     serialize_query,
 )
-from .session import EvalPass, InferenceSession, QueryPlan, session_for
+from .session import EvalPass, InferenceSession, QueryPlan
 
 __all__ = [
     "QueryKind",
@@ -75,5 +74,4 @@ __all__ = [
     "EvalPass",
     "QueryPlan",
     "InferenceSession",
-    "session_for",
 ]

@@ -354,10 +354,8 @@ class Conditional(Query):
     ``evidence`` the conditioning assignment.  Execution is entirely in the
     log domain — ``exp(log P(q, e) - log P(e))`` — so conditionals of deep
     networks whose joint probabilities underflow linearly are still exact;
-    rows whose *evidence* has probability zero yield ``nan`` (the scalar
-    wrapper :func:`repro.spn.queries.conditional` turns that into the
-    historical ``ZeroDivisionError``).  With ``log=True`` the log-ratio is
-    returned instead.
+    rows whose *evidence* has probability zero yield ``nan``.  With
+    ``log=True`` the log-ratio is returned instead.
 
     Conflicting assignments (both arrays observing the same variable with
     different values) are rejected at construction.
@@ -421,8 +419,7 @@ class MPE(Query):
 
     Returns one ``{var: value}`` assignment per row (exact by enumeration
     for small free state spaces, max-product with optional coordinate-ascent
-    ``refine`` otherwise — the engine of
-    :func:`repro.spn.queries.most_probable_explanation`, which itself runs
+    ``refine`` otherwise — :func:`repro.spn.queries.mpe_row`, which runs
     its candidate scoring through the vectorized log-domain tape).
     """
 

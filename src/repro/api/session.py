@@ -22,17 +22,16 @@ Every evaluation pass is observable: the session counts tape evaluations
 guarantees (e.g. two passes per conditional batch, not ``2 * n_rows``).
 
 Sessions are cheap — the heavy artifacts (SPN, tape, operation list,
-partition function) are cached per model — and single-row sessions back the
-deprecated scalar wrappers in :mod:`repro.spn.queries`, so the scalar and
-batched paths cannot drift.
+partition function) are cached per model, and a structurally mutated model
+recomputes each of them.  A single answer is a one-row batch: the session
+is the only way a query runs.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -58,7 +57,7 @@ from .queries import (
     evidence_rows,
 )
 
-__all__ = ["EvalPass", "QueryPlan", "InferenceSession", "session_for"]
+__all__ = ["EvalPass", "QueryPlan", "InferenceSession"]
 
 
 @dataclass(frozen=True)
@@ -182,11 +181,8 @@ class InferenceSession:
         self.evaluations: int = 0
         #: Optional callback ``(domain, n_rows)`` invoked per tape pass.
         self.on_evaluate: Optional[Callable[[str, int], None]] = None
-        self._log_z: Optional[float] = None
-        self._log_z_fingerprint: Optional[tuple] = None
-        self._domains: Optional[dict] = None
-        self._domains_fingerprint: Optional[tuple] = None
-        self._ops: Optional[OperationList] = None
+        #: key -> (fingerprint, pinned children, value); see :meth:`_fresh`.
+        self._cache: Dict[str, tuple] = {}
         self.tape = None
         if tape is not None and self.engine == "vectorized":
             from ..spn.compiled import adopt_tape
@@ -277,7 +273,7 @@ class InferenceSession:
                 passes.append(EvalPass("linear", "evidence"))
             if query.normalize:
                 passes.append(
-                    EvalPass("log", "partition", cached=self._log_z is not None)
+                    EvalPass("log", "partition", cached="log_z" in self._cache)
                 )
             post = ""
             if query.normalize:
@@ -345,7 +341,9 @@ class InferenceSession:
             return {"tape_slots": 0, "peak_slots": 0}
         from ..spn.compiled import cached_tape
 
-        tape = self.tape if self.tape is not None else cached_tape(self.spn)
+        # The tape the passes run, not the pinned one: a mutated model
+        # recompiles.
+        tape = cached_tape(self.spn)
         if not tape.kernels:
             return {"tape_slots": tape.n_slots, "peak_slots": tape.n_slots}
         return {"tape_slots": tape.n_slots, "peak_slots": tape.memory_plan().n_physical}
@@ -424,28 +422,14 @@ class InferenceSession:
         """Per-variable value domains read off the model's indicator leaves.
 
         ``{var: (sorted values)}`` — the state spaces every analysis kind
-        sweeps over.  Cached under the same content fingerprint as the
-        tape and ``log Z`` caches, so a structurally mutated model
-        recomputes instead of sweeping stale states.
+        sweeps over (cached by :meth:`_fresh`).
         """
-        from ..spn.compiled import _fingerprint_parts
         from ..spn.queries import _indicator_domains
 
-        tag, children = _fingerprint_parts(self.spn)
-        fingerprint = (tag, tuple(map(id, children)))
-        with self._lock:
-            if self._domains_fingerprint == fingerprint:
-                return self._domains
-        domains = {
+        return self._fresh("domains", lambda: {
             var: tuple(sorted(values))
             for var, values in sorted(_indicator_domains(self.spn).items())
-        }
-        with self._lock:
-            # Pin the fingerprinted children (id-reuse guard, as for log Z).
-            self._domains = domains
-            self._domains_fingerprint = fingerprint
-            self._domains_children = children
-        return domains
+        })
 
     def _resolve_variables(self, variables, domains) -> Tuple[int, ...]:
         """Validate a query's variable selection (``None`` = every model var)."""
@@ -691,45 +675,50 @@ class InferenceSession:
             return evaluate_batch(self.spn, data, engine=self.engine, check=self.check)
 
     def log_partition(self) -> float:
-        """Log partition function ``log Z``, computed once per session.
+        """Log partition function ``log Z`` (one log pass, cached by :meth:`_fresh`)."""
 
-        The cache is guarded by the same cheap content fingerprint the tape
-        cache uses, so a structurally mutated model recomputes instead of
-        serving a stale normalizer.
+        def partition_pass() -> float:
+            row = np.full((1, max(self.n_vars, 1)), -1, dtype=np.int64)
+            return float(self._evaluate(row, log_domain=True)[0])
+
+        return self._fresh("log_z", partition_pass)
+
+    def _fresh(self, key: str, compute: Callable[[], object]):
+        """``compute()``, cached under the model's content fingerprint.
+
+        The fingerprint is the tape cache's
+        (:func:`repro.spn.compiled.cached_tape`), so a structurally mutated
+        model recomputes instead of serving a stale value.  The entry pins
+        the fingerprinted children, so a collected node's id can never be
+        reused while the entry counts as fresh.
         """
         from ..spn.compiled import _fingerprint_parts
 
         tag, children = _fingerprint_parts(self.spn)
         fingerprint = (tag, tuple(map(id, children)))
         with self._lock:
-            cached = (
-                self._log_z if self._log_z_fingerprint == fingerprint else None
-            )
-        if cached is not None:
-            return cached
-        row = np.full((1, max(self.n_vars, 1)), -1, dtype=np.int64)
-        log_z = float(self._evaluate(row, log_domain=True)[0])
+            entry = self._cache.get(key)
+        if entry is not None and entry[0] == fingerprint:
+            return entry[2]
+        value = compute()
         with self._lock:
-            # Pin the fingerprinted children so a collected node's id can
-            # never be reused while this entry is considered fresh.
-            self._log_z = log_z
-            self._log_z_fingerprint = fingerprint
-            self._log_z_children = children
-        return log_z
+            self._cache[key] = (fingerprint, children, value)
+        return value
 
     # ------------------------------------------------------------------ #
     # Platform throughput (the paper's ops/cycle metric)
     # ------------------------------------------------------------------ #
     def operation_list(self) -> OperationList:
-        """The bound model's lowered operation list (cached per session)."""
-        if self._ops is None:
-            if self.name is not None:
-                from ..suite.registry import benchmark_operation_list
+        """The bound model's lowered operation list.
 
-                self._ops = benchmark_operation_list(self.name)
-            else:
-                self._ops = linearize(self.spn)
-        return self._ops
+        Suite models share the registry's lowering; an SPN-bound session
+        re-lowers its model after a structural change (:meth:`_fresh`).
+        """
+        if self.name is not None:
+            from ..suite.registry import benchmark_operation_list
+
+            return benchmark_operation_list(self.name)
+        return self._fresh("ops", lambda: linearize(self.spn))
 
     def throughput(self, platform, options=None):
         """Measure the bound model on a platform engine: ops/cycle.
@@ -747,44 +736,3 @@ class InferenceSession:
             self.operation_list(), benchmark=self.name or "", options=options
         )
 
-
-# --------------------------------------------------------------------------- #
-# Per-model session cache (backs the scalar wrappers)
-# --------------------------------------------------------------------------- #
-#: (id(spn), engine) -> session, LRU-bounded.  The session strongly
-#: references its model (so a cached entry can never suffer id reuse), which
-#: also means weakref-based eviction could never fire — the bound is what
-#: keeps a model-churning caller (e.g. structure search scoring thousands of
-#: candidate SPNs through the scalar wrappers) from leaking sessions.
-_SESSION_CACHE: "OrderedDict[Tuple[int, str], InferenceSession]" = OrderedDict()
-_SESSION_CACHE_CAPACITY = 32
-
-
-def session_for(model: Union[SPN, str], engine: str = "vectorized") -> InferenceSession:
-    """A shared session for ``model`` (the scalar wrappers route through this).
-
-    Sessions hold only caches (tape pin, ``log Z``, operation list) — all
-    invalidation-safe or recomputed cheaply — so sharing one per
-    ``(model, engine)`` makes the deprecated scalar functions as
-    cheap as their pre-session implementations while guaranteeing they
-    execute the very same code path as batched callers.  The cache is a
-    small LRU (:data:`_SESSION_CACHE_CAPACITY` entries); suite-name models
-    share the registry's unbounded (nine-benchmark) cache instead.
-    """
-    if isinstance(model, str):
-        from ..suite.registry import benchmark_session
-
-        return benchmark_session(model, engine)
-    key = (id(model), engine)
-    session = _SESSION_CACHE.get(key)
-    # The strong reference inside the cached session guarantees `model`'s id
-    # cannot have been reused while the entry exists — but guard on identity
-    # anyway, since it is free and makes the invariant local.
-    if session is not None and session.spn is model:
-        _SESSION_CACHE.move_to_end(key)
-        return session
-    session = InferenceSession(model, engine=engine)
-    _SESSION_CACHE[key] = session
-    while len(_SESSION_CACHE) > _SESSION_CACHE_CAPACITY:
-        _SESSION_CACHE.popitem(last=False)
-    return session

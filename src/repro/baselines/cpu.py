@@ -40,7 +40,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..spn.compiled import cached_tape, cross_check, resolve_engine
 from ..spn.evaluate import row_evidence
 from ..spn.linearize import OperationList
 
@@ -145,34 +144,20 @@ class CpuResult:
         return self.n_microops / self.cycles if self.cycles else 0.0
 
 
-def execute_baseline(
-    ops: OperationList, data: np.ndarray, engine: str = "python", check: bool = False
-) -> np.ndarray:
+def execute_baseline(ops: OperationList, data: np.ndarray) -> np.ndarray:
     """Functional execution of the program the CPU model times.
 
     The timing model above only counts cycles; this is the matching value
     computation for an evidence batch (shape ``(n_rows, n_vars)``, following
-    the :data:`repro.spn.evaluate.MARGINALIZED` convention).  The
-    ``"python"`` engine interprets the flat operation list row by row —
-    exactly the straight-line program of Algorithm 1 that the modelled CPU
-    executes — while ``"vectorized"`` routes the whole batch through the
-    compiled tape of :mod:`repro.spn.compiled`.  With ``check=True`` the
-    vectorized result is cross-checked against the reference interpretation
-    on the first few rows.
+    the :data:`repro.spn.evaluate.MARGINALIZED` convention): the flat
+    operation list interpreted row by row, exactly the straight-line
+    program of Algorithm 1 that the modelled CPU executes.  It is the
+    reference the compiled tape (``cached_tape(ops).execute_batch(data)``)
+    is checked against.
     """
     data = np.asarray(data)
     if data.ndim != 2:
         raise ValueError(f"expected a 2-D evidence array, got shape {data.shape}")
-    if resolve_engine(engine) == "vectorized":
-        result = cached_tape(ops).execute_batch(data)
-        if check:
-            cross_check(
-                result,
-                data,
-                lambda head: execute_baseline(ops, head, engine="python"),
-                what="vectorized baseline execution",
-            )
-        return result
     out = np.empty(data.shape[0], dtype=np.float64)
     for row in range(data.shape[0]):
         out[row] = ops.execute(row_evidence(data[row]))

@@ -485,7 +485,7 @@ def measure_engine_speedup(
 
     t_vectorized, vec = best_of(lambda: tape.execute_batch(data), repeats)
     t_node_batch, ref_batch = best_of(lambda: evaluate_batch(spn, data), repeats)
-    t_reference, ref = best_of(lambda: execute_baseline(ops, data, engine="python"), 1)
+    t_reference, ref = best_of(lambda: execute_baseline(ops, data), 1)
 
     if not np.allclose(vec, ref, rtol=1e-9, atol=0.0) or not np.allclose(
         vec, ref_batch, rtol=1e-9, atol=0.0
@@ -540,30 +540,24 @@ def measure_query_speedup(
       engines at all before this API — this is the honest "what a caller
       previously paid per answer" baseline (measured on
       ``n_scalar_rows`` rows, best of 3 loops; it dominates the runtime).
-    * ``t_scalar_session`` — the deprecated scalar wrapper
-      (:func:`repro.spn.queries.conditional`), now itself a single-row
-      vectorized session per call.
+    * ``t_scalar_session`` — one single-row ``session.run`` per answer on
+      the vectorized session (the per-answer cost of a caller that does
+      not batch).
     * ``t_batched`` — one batched ``session.run(Conditional(...))`` over
       all ``n_rows`` rows (best of ``repeats``).
 
     The batched result is asserted **bit-identical** to the per-row
-    vectorized path (the tape kernels are elementwise across rows, and the
-    scalar wrapper *is* a single-row session) and ``allclose`` to the
-    reference walk.  Returns a flat dict — timings, derived speedups, the
-    plan's evaluation count — ready for the ``query_api`` section of
-    ``BENCH_sweeps.json``.  The headline ``speedup_batched_vs_scalar``
+    vectorized path (the tape kernels are elementwise across rows) and
+    ``allclose`` to the reference walk.  Returns a flat dict — timings,
+    derived speedups, the plan's evaluation count — ready for the
+    ``query_api`` section of ``BENCH_sweeps.json``.  The headline ``speedup_batched_vs_scalar``
     compares against the reference per-row path.
     """
-    import warnings
-
     import numpy as np
 
     from ..api import Conditional, InferenceSession
     from ..spn.generate import random_evidence
-    from ..spn.queries import conditional
-    from ..suite.registry import build_benchmark
 
-    spn = build_benchmark(benchmark)
     session = InferenceSession(benchmark, warm=True)
     reference_session = InferenceSession(benchmark, engine="python")
     n_vars = session.n_vars
@@ -602,29 +596,18 @@ def measure_query_speedup(
         t_scalar_reference = min(t_scalar_reference, time.perf_counter() - start)
     t_scalar_reference /= n_scalar
 
-    # Deprecated scalar wrapper (single-row vectorized sessions), per row —
-    # best of 3 loops, symmetric with the reference-path timing above.
+    # Single-row vectorized sessions, per row — best of 3 loops, symmetric
+    # with the reference-path timing above.
     t_scalar_session = float("inf")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for _ in range(3):
-            start = time.perf_counter()
-            wrapper = np.array(
-                [
-                    conditional(
-                        spn,
-                        {int(queried[i]): int(query[i, queried[i]])},
-                        {int(v): int(evidence[i, v]) for v in range(n_vars) if evidence[i, v] >= 0},
-                    )
-                    for i in range(n_scalar)
-                ]
-            )
-            t_scalar_session = min(t_scalar_session, time.perf_counter() - start)
+    for _ in range(3):
+        start = time.perf_counter()
+        per_row = np.array([session.run(q)[0] for q in singles])
+        t_scalar_session = min(t_scalar_session, time.perf_counter() - start)
     t_scalar_session /= n_scalar
 
-    if not np.array_equal(batched[:n_scalar], wrapper):
+    if not np.array_equal(batched[:n_scalar], per_row):
         raise AssertionError(
-            "batched Conditional disagrees with the per-row scalar wrapper"
+            "batched Conditional disagrees with the single-row session"
         )
     if not np.allclose(batched[:n_scalar], reference, rtol=1e-9, atol=0.0):
         raise AssertionError(

@@ -143,28 +143,19 @@ class ModelArtifact:
                 self._ops = linearize(self.spn)
         return self._ops
 
-    def session(
-        self,
-        engine: str = "vectorized",
-        check: bool = False,
-    ):
+    def session(self):
         """An :class:`~repro.api.session.InferenceSession` on the AOT tape.
 
         The session adopts the artifact's tape (and therefore its memory
         plan) into the evaluation caches, so every query kind runs on the
-        shipped program with no compile or plan work.
+        shipped program with no compile or plan work.  A shipped operation
+        list becomes the session's lowering of the current model.
         """
         from ..api.session import InferenceSession
 
-        session = InferenceSession(
-            self.spn,
-            engine=engine,
-            check=check,
-            tape=self.tape if engine == "vectorized" else None,
-            n_vars=self.n_vars,
-        )
+        session = InferenceSession(self.spn, tape=self.tape, n_vars=self.n_vars)
         if self._ops is not None or self._ops_payload is not None:
-            session._ops = self.ops
+            session._fresh("ops", lambda: self.ops)
         return session
 
     def to_payload(self) -> dict:

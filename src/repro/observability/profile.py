@@ -19,10 +19,10 @@ attributed to a per-kernel ``encode`` pseudo-entry, so the aggregate
 accounts for essentially all of a pass's wall time (the benchmark gate
 requires >= 90%).
 
-The hooks this relies on are *compiled out* when no profiler is active:
-executors resolve :func:`active_profiler` **once per batch** and take the
-original uninstrumented kernel loop when it returns ``None`` — per-kernel
-timing never taxes an unprofiled run.  :meth:`TapeProfiler.record` is
+Executors resolve :func:`active_profiler` **once per batch**.  When it
+returns ``None``, linear passes run in the native interpreter and NumPy's
+kernel loop reads no clock, so per-kernel timing never taxes an
+unprofiled run.  :meth:`TapeProfiler.record` is
 thread-safe, so samples from concurrent serving workers merge into the
 same aggregate.
 
@@ -49,9 +49,9 @@ _ACTIVE: ContextVar[Optional["TapeProfiler"]] = ContextVar(
 def active_profiler() -> Optional["TapeProfiler"]:
     """The profiler active for this thread/task, or ``None`` (the fast path).
 
-    Executors call this once per batch; a ``None`` answer routes to the
-    uninstrumented kernel loop, so disabled-profiling overhead is a single
-    context-variable read per batch.
+    Executors call this once per batch; on a ``None`` answer no kernel is
+    timed, so disabled-profiling overhead is a single context-variable read
+    per batch.
     """
     return _ACTIVE.get()
 

@@ -89,7 +89,6 @@ from ..faults.plan import InjectedCrash, InjectedExecutorFault
 from ..lifecycle.artifact import ModelArtifact
 from ..lifecycle.registry import ModelRegistry, PublishReport
 from ..observability import REGISTRY, TRACER, metrics_enabled
-from ..spn.compiled import resolve_engine
 from ..spn.graph import SPN
 from .metrics import ServingMetrics
 from .queue import (
@@ -347,10 +346,6 @@ class InferenceServer:
         Worker threads pulling micro-batches.  One worker already keeps the
         NumPy kernels busy; more help when MPE queries (per-row Python work)
         mix with batched likelihoods.
-    engine:
-        Execution engine for the likelihood kinds, as accepted by
-        :func:`repro.spn.evaluate.evaluate_batch` (``"vectorized"`` default,
-        ``"python"`` for reference-path serving).
     warm:
         Compile every hosted model's tape at registration instead of on the
         first request (keeps compilation latency out of the serving path).
@@ -381,7 +376,6 @@ class InferenceServer:
         models: Union[Iterable[object], Mapping[str, SPN], None] = None,
         policy: Optional[BatchingPolicy] = None,
         n_workers: int = 1,
-        engine: str = "vectorized",
         warm: bool = True,
         slow_query_s: Optional[float] = None,
         max_in_flight: Optional[int] = None,
@@ -397,7 +391,6 @@ class InferenceServer:
         if heal_interval_s <= 0:
             raise ValueError(f"heal_interval_s must be > 0, got {heal_interval_s}")
         self.policy = policy or BatchingPolicy()
-        self.engine = resolve_engine(engine)
         self.metrics = ServingMetrics()
         self.slow_query_s = slow_query_s
         self._warm = warm
@@ -482,9 +475,7 @@ class InferenceServer:
             return self.add_artifact(spn, name=name)
         if self.registry.live_version(name) is not None:
             raise ValueError(f"model {name!r} is already hosted")
-        session = InferenceSession(
-            spn if spn is not None else name, engine=self.engine, warm=self._warm
-        )
+        session = InferenceSession(spn if spn is not None else name, warm=self._warm)
         return self._install(name, version, session, artifact=None, validate=False).served
 
     def add_artifact(
@@ -500,7 +491,7 @@ class InferenceServer:
         name = artifact.name if name is None else name
         if self.registry.live_version(name) is not None:
             raise ValueError(f"model {name!r} is already hosted")
-        session = artifact.session(engine=self.engine)
+        session = artifact.session()
         return self._install(
             name, artifact.version, session, artifact=artifact, validate=False
         ).served
@@ -531,11 +522,11 @@ class InferenceServer:
         artifact: Optional[ModelArtifact] = None
         if isinstance(model, ModelArtifact):
             artifact = model
-            session = model.session(engine=self.engine)
+            session = model.session()
         elif isinstance(model, InferenceSession):
             session = model
         else:
-            session = InferenceSession(model, engine=self.engine, warm=self._warm)
+            session = InferenceSession(model, warm=self._warm)
         return self._install(
             name, version, session, artifact=artifact, validate=validate
         ).report

@@ -63,13 +63,13 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..observability.profile import active_profiler
 from . import native
-from .evaluate import MARGINALIZED, as_evidence_array
+from .evaluate import as_evidence_array
 from .graph import SPN, StructureError
 from .linearize import (
     OP_ADD,
@@ -494,8 +494,8 @@ class CompiledTape:
         data = np.asarray(data)
         if data.ndim != 2:
             raise ValueError(f"expected a 2-D evidence array, got shape {data.shape}")
-        # Resolved once per batch: ``None`` (no profiler active) keeps the
-        # executor below on its uninstrumented kernel loop.
+        # Resolved once per batch: ``None`` (no profiler active) lets linear
+        # passes run natively and keeps NumPy's kernel loop off the clock.
         profiler = active_profiler()
         if not log_domain:
             return self._execute_root(data, False, profiler)
@@ -530,17 +530,6 @@ class CompiledTape:
             rows = slice(start, start + block)
             execute_plan(plan, data[rows], log_domain, out[rows], profiler)
         return out
-
-    def execute(
-        self, evidence: Optional[Mapping[int, int]] = None, log_domain: bool = False
-    ) -> float:
-        """Single-evidence convenience wrapper (mirrors ``OperationList.execute``)."""
-        n_vars = int(max((s.var for s in self.inputs if s.kind == "indicator"), default=-1)) + 1
-        row = np.full((1, max(n_vars, 1)), MARGINALIZED, dtype=np.int64)
-        for var, value in (evidence or {}).items():
-            if 0 <= var < n_vars:
-                row[0, var] = value
-        return float(self.execute_batch(row, log_domain=log_domain)[0])
 
 
 def _group_operations(ops: OperationList) -> List[List[int]]:

@@ -902,21 +902,32 @@ def execute_plan(
     once.  The physical buffer is the calling thread's reusable scratch.
 
     ``profiler`` (a :class:`repro.observability.TapeProfiler`, resolved
-    once per batch by the caller) switches to an instrumented copy of the
-    kernel loop that records per-kernel elapsed/rows/bytes; the default
-    ``None`` takes this uninstrumented loop, so unprofiled execution pays
-    nothing.
+    once per batch by the caller) makes the loop read the clock around
+    every kernel and record one sample per planned kernel — keyed
+    ``k<index>`` in plan order, with input encoding attributed to a
+    ``k<index>.encode`` pseudo-kernel — plus the pass's total wall time
+    (the coverage denominator).  Bytes count operand reads and destination
+    writes at 8 bytes per value off the plan's physical layout; a
+    broadcast-constant operand contributes only its ``(width, 1)`` column.
     """
-    if profiler is not None:
-        return _execute_plan_profiled(plan, data, log_domain, out, profiler)
     n_rows = data.shape[0]
     if out is None:
         out = np.empty(n_rows, dtype=np.float64)
     block = plan.workspace(n_rows)
     last = len(plan.kernels) - 1
+    profiled = profiler is not None
+    t_pass = time.perf_counter() if profiled else 0.0
     for i, kernel in enumerate(plan.kernels):
         if kernel.encode is not None:
+            t0 = time.perf_counter() if profiled else 0.0
             _encode_inputs(kernel.encode, block, data, log_domain)
+            if profiled:
+                n_encoded = kernel.encode.ind_rows.size + kernel.encode.const_rows.size
+                profiler.record(
+                    f"k{i:03d}.encode", "enc", n_encoded,
+                    time.perf_counter() - t0, n_rows, 8 * n_rows * n_encoded,
+                )
+        t0 = time.perf_counter() if profiled else 0.0
         a = _operand_block(kernel, block, log_domain, 0)
         b = _operand_block(kernel, block, log_domain, 1)
         if i == last and plan.root_direct:
@@ -933,68 +944,17 @@ def execute_plan(
                 np.add(a, b, out=dest)
             else:
                 np.multiply(a, b, out=dest)
+        if profiled:
+            elapsed = time.perf_counter() - t0
+            lane_bytes = 8 * n_rows * kernel.width
+            nbytes = lane_bytes  # destination write
+            nbytes += lane_bytes if kernel.const_arg0 is None else 8 * kernel.width
+            nbytes += lane_bytes if kernel.const_arg1 is None else 8 * kernel.width
+            profiler.record(f"k{i:03d}", kernel.op, kernel.width, elapsed, n_rows, nbytes)
     if not plan.root_direct:
         out[:] = block[plan.root_phys]
-    return out
-
-
-def _execute_plan_profiled(
-    plan: MemoryPlan,
-    data: np.ndarray,
-    log_domain: bool,
-    out: Optional[np.ndarray],
-    profiler,
-) -> np.ndarray:
-    """The instrumented twin of :func:`execute_plan` (same ops, same order).
-
-    Records one sample per planned kernel — keyed ``k<index>`` in plan
-    order, with input encoding attributed to a ``k<index>.encode``
-    pseudo-kernel — plus the pass's total wall time (the coverage
-    denominator).  Bytes count operand reads and destination writes at 8
-    bytes per value off the plan's physical layout; a broadcast-constant
-    operand contributes only its ``(width, 1)`` column.
-    """
-    n_rows = data.shape[0]
-    if out is None:
-        out = np.empty(n_rows, dtype=np.float64)
-    block = plan.workspace(n_rows)
-    last = len(plan.kernels) - 1
-    t_pass = time.perf_counter()
-    for i, kernel in enumerate(plan.kernels):
-        if kernel.encode is not None:
-            n_encoded = kernel.encode.ind_rows.size + kernel.encode.const_rows.size
-            t0 = time.perf_counter()
-            _encode_inputs(kernel.encode, block, data, log_domain)
-            profiler.record(
-                f"k{i:03d}.encode", "enc", n_encoded,
-                time.perf_counter() - t0, n_rows, 8 * n_rows * n_encoded,
-            )
-        t0 = time.perf_counter()
-        a = _operand_block(kernel, block, log_domain, 0)
-        b = _operand_block(kernel, block, log_domain, 1)
-        if i == last and plan.root_direct:
-            dest = out[None, :]
-        else:
-            dest = block[kernel.dest_start : kernel.dest_stop]
-        if log_domain:
-            if kernel.op == OP_ADD:
-                np.logaddexp(a, b, out=dest)
-            else:
-                np.add(a, b, out=dest)
-        else:
-            if kernel.op == OP_ADD:
-                np.add(a, b, out=dest)
-            else:
-                np.multiply(a, b, out=dest)
-        elapsed = time.perf_counter() - t0
-        lane_bytes = 8 * n_rows * kernel.width
-        nbytes = lane_bytes  # destination write
-        nbytes += lane_bytes if kernel.const_arg0 is None else 8 * kernel.width
-        nbytes += lane_bytes if kernel.const_arg1 is None else 8 * kernel.width
-        profiler.record(f"k{i:03d}", kernel.op, kernel.width, elapsed, n_rows, nbytes)
-    if not plan.root_direct:
-        out[:] = block[plan.root_phys]
-    profiler.record_pass(time.perf_counter() - t_pass)
+    if profiled:
+        profiler.record_pass(time.perf_counter() - t_pass)
     return out
 
 

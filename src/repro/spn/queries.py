@@ -1,160 +1,23 @@
-"""Scalar probabilistic queries — deprecated wrappers over the typed API.
+"""The per-row MPE engine behind :class:`repro.api.MPE`.
 
-These are the original dict-based, one-answer-at-a-time entry points for
-marginals, conditionals and MPE.  Since the unified typed query API landed
-(:mod:`repro.api`), every one of them is a thin wrapper over a single-row
-:class:`~repro.api.session.InferenceSession` — the same planning and the
-same vectorized tape passes a batched caller gets — so the scalar and
-batched paths cannot drift.  New code should construct query objects
-directly::
-
-    from repro.api import Conditional, InferenceSession
-
-    session = InferenceSession(spn)
-    probs = session.run(Conditional(query=q_rows, evidence=e_rows))
-
-The wrappers emit :class:`DeprecationWarning` (hidden by default; enable
-with ``-W default::DeprecationWarning``).  They remain exact: each one is
-*defined* as single-row session execution, and the property tests assert
-bit-equality between the two.
-
-A note on :func:`conditional`: it now computes in the log domain
-(``exp(log P(q, e) - log P(e))``), so evidence whose linear-domain
-probability merely *underflows* no longer raises a spurious
-``ZeroDivisionError`` — only evidence with probability exactly zero does.
-
-:func:`mpe_row` is not deprecated: it is the per-row MPE engine the session
-itself executes (exact by enumeration for small free state spaces,
-max-product with optional coordinate-ascent refinement otherwise).
+:func:`mpe_row` completes one evidence row with its most probable
+explanation: exact by enumeration when the free variables span a small
+state space, max-product with optional coordinate-ascent refinement
+otherwise; enumeration and refinement score their candidates through the
+vectorized log-domain tape.  Queries enter through
+:class:`repro.api.InferenceSession`, which runs this function once per
+:class:`~repro.api.MPE` row.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Dict, Mapping, Optional
 
 from .graph import SPN
 from .nodes import IndicatorLeaf, ParameterLeaf, ProductNode, SumNode
 
-__all__ = [
-    "marginal",
-    "log_marginal",
-    "conditional",
-    "log_likelihood",
-    "most_probable_explanation",
-    "mpe_row",
-]
-
-
-def _session(spn: SPN):
-    from ..api.session import session_for
-
-    return session_for(spn)
-
-
-def _deprecated(name: str) -> None:
-    warnings.warn(
-        f"repro.spn.queries.{name}() is deprecated; issue typed queries "
-        f"through repro.api.InferenceSession instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def marginal(spn: SPN, evidence: Optional[Mapping[int, int]] = None) -> float:
-    """Unnormalized marginal probability of the evidence, P(e) * Z.
-
-    For normalized networks (partition function 1) this is exactly P(e).
-
-    .. deprecated:: Use ``InferenceSession(spn).run(Marginal(evidence))``.
-    """
-    from ..api import Marginal
-
-    _deprecated("marginal")
-    return float(_session(spn).run(Marginal(dict(evidence or {})))[0])
-
-
-def log_marginal(spn: SPN, evidence: Optional[Mapping[int, int]] = None) -> float:
-    """Log-domain version of :func:`marginal`.
-
-    .. deprecated:: Use ``InferenceSession(spn).run(Marginal(evidence, log=True))``.
-    """
-    from ..api import Marginal
-
-    _deprecated("log_marginal")
-    return float(_session(spn).run(Marginal(dict(evidence or {}), log=True))[0])
-
-
-def conditional(
-    spn: SPN, query: Mapping[int, int], evidence: Optional[Mapping[int, int]] = None
-) -> float:
-    """Conditional probability P(query | evidence), computed in the log domain.
-
-    ``query`` and ``evidence`` must not assign conflicting values to the
-    same variable.  Raises ``ZeroDivisionError`` only when the evidence has
-    probability exactly zero — deep networks whose evidence probability
-    underflows the linear domain are handled exactly (the session plans a
-    conditional as two log-domain tape passes, subtracted).
-
-    .. deprecated:: Use
-       ``InferenceSession(spn).run(Conditional(query=..., evidence=...))``.
-    """
-    from ..api import Conditional
-
-    _deprecated("conditional")
-    result = _session(spn).run(
-        Conditional(evidence=dict(evidence or {}), query=dict(query))
-    )
-    value = float(result[0])
-    if math.isnan(value):
-        raise ZeroDivisionError("evidence has probability zero")
-    return value
-
-
-def log_likelihood(spn: SPN, data, normalize: bool = True) -> float:
-    """Average log-likelihood of observed rows in ``data``.
-
-    ``data`` is an integer array of shape ``(n_rows, n_vars)`` following
-    the :data:`~repro.spn.evaluate.MARGINALIZED` convention.  When
-    ``normalize`` is true the partition function is subtracted so the
-    result is a proper average log-probability even for unnormalized
-    networks.  Executes as one batched log-domain pass (plus the session's
-    cached partition pass), not a per-row walk.
-
-    .. deprecated:: Use
-       ``InferenceSession(spn).run(Marginal(data, log=True, normalize=True))``
-       and average.
-    """
-    import numpy as np
-
-    from ..api import LogLikelihood
-
-    _deprecated("log_likelihood")
-    rows = np.asarray(data)
-    if rows.ndim == 0 or rows.shape[0] == 0:
-        # Checked on the raw input's row count: an empty list would
-        # otherwise normalize to one fully-marginalized (1, 0) row and
-        # "score" 0.0.  A zero-column batch with rows is fine (every row
-        # fully marginalized), matching the historical behavior.
-        raise ValueError("data must contain at least one row")
-    session = _session(spn)
-    values = session.run(LogLikelihood(data))
-    log_z = session.log_partition() if normalize else 0.0
-    return float(values.mean() - log_z)
-
-
-def most_probable_explanation(
-    spn: SPN, evidence: Optional[Mapping[int, int]] = None, refine: bool = True
-) -> Dict[int, int]:
-    """MPE assignment completing ``evidence`` (see :func:`mpe_row`).
-
-    .. deprecated:: Use ``InferenceSession(spn).run(MPE(evidence))``.
-    """
-    from ..api import MPE
-
-    _deprecated("most_probable_explanation")
-    return _session(spn).run(MPE(dict(evidence or {}), refine=refine))[0]
+__all__ = ["mpe_row"]
 
 
 #: Exhaustive-search budget for :func:`mpe_row`: when the free variables

@@ -3,7 +3,6 @@
 from .registry import (
     BENCHMARKS,
     BenchmarkProfile,
-    benchmark_evaluate_batch,
     benchmark_n_vars,
     benchmark_names,
     benchmark_operation_list,
@@ -16,7 +15,6 @@ from .registry import (
 __all__ = [
     "BENCHMARKS",
     "BenchmarkProfile",
-    "benchmark_evaluate_batch",
     "benchmark_n_vars",
     "benchmark_names",
     "benchmark_operation_list",

@@ -19,11 +19,10 @@ the two large text benchmarks (BBC, Bio response) are capped to 160
 variables, and network sizes target a few thousand binary operations instead
 of the tens of thousands a LearnPSDD network can reach.
 
-Besides the structural artifacts (SPN, operation list, compiled tape — all
-cached), the registry offers :func:`benchmark_evaluate_batch`, the
-engine-switched functional evaluation every experiment and example routes
-through: ``engine="python"`` is the per-node reference walk,
-``engine="vectorized"`` the compiled NumPy tape.
+Besides the structural artifacts (SPN, operation list, compiled tape, AOT
+artifact — all cached), the registry keeps one shared
+:class:`~repro.api.session.InferenceSession` per benchmark
+(:func:`benchmark_session`), the front door the experiments query through.
 
 *Throughput* measurements on these benchmarks go through the platform-engine
 registry instead (:mod:`repro.platforms`): every profile's operation list
@@ -37,10 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-import numpy as np
-
-from ..spn.compiled import CompiledTape, compile_tape, cross_check, resolve_engine
-from ..spn.evaluate import evaluate_batch
+from ..spn.compiled import CompiledTape, compile_tape
 from ..spn.generate import RatSpnConfig, generate_rat_spn
 from ..spn.graph import SPN
 from ..spn.linearize import OperationList, linearize
@@ -56,7 +52,6 @@ __all__ = [
     "benchmark_tape",
     "benchmark_artifact",
     "benchmark_session",
-    "benchmark_evaluate_batch",
     "suite_summary",
 ]
 
@@ -218,71 +213,16 @@ def benchmark_artifact(name: str, version: str = "0"):
     )
 
 
-def benchmark_session(name: str, engine: str = "vectorized"):
-    """A shared :class:`~repro.api.session.InferenceSession` for a benchmark.
-
-    The typed-query front door for suite models: every caller asking for the
-    same ``(name, engine)`` gets one session, so its caches (pinned tape,
-    partition function, operation list) are shared.  Experiments and the
-    scalar wrappers route through this.  The arguments are normalized before
-    the cache lookup, so ``benchmark_session("Banknote")`` and
-    ``benchmark_session("Banknote", "vectorized")`` share one entry.
-    """
-    return _benchmark_session(name, engine)
-
-
 @lru_cache(maxsize=None)
-def _benchmark_session(name: str, engine: str):
+def benchmark_session(name: str):
+    """The shared :class:`~repro.api.session.InferenceSession` for a benchmark.
+
+    Every caller asking for the same benchmark gets one session, so its
+    caches (partition function, domains) are shared.
+    """
     from ..api.session import InferenceSession
 
-    return InferenceSession(name, engine=engine)
-
-
-def benchmark_evaluate_batch(
-    name: str,
-    data: np.ndarray,
-    engine: str = "vectorized",
-    check: bool = False,
-    log_domain: bool = False,
-) -> np.ndarray:
-    """Evaluate a suite benchmark on an evidence batch with the chosen engine.
-
-    ``data`` follows the :data:`repro.spn.evaluate.MARGINALIZED` convention.
-    The vectorized engine (default) reuses the cached compiled tape;
-    ``engine="python"`` falls back to the per-node reference walk of
-    :func:`repro.spn.evaluate.evaluate_batch` (linear domain) or its per-row
-    log counterpart.  ``check=True`` statically verifies the tape and its
-    memory plan, then cross-checks the vectorized result against the
-    reference on a prefix of the batch.
-
-    Performance note: the tape is orders of magnitude faster than the
-    row-by-row operation-list executor and several times faster than the
-    per-node walk, through multi-thousand-row batches too (the memory
-    plan's working set stays cache-resident where a dense slot matrix
-    spills); both engines are always available.
-    """
-    if resolve_engine(engine) == "vectorized":
-        tape = benchmark_tape(name)
-        if check:
-            tape.verify_static()
-        result = tape.execute_batch(np.asarray(data), log_domain=log_domain)
-        if check:
-            cross_check(
-                result,
-                data,
-                lambda head: benchmark_evaluate_batch(
-                    name, head, engine="python", log_domain=log_domain
-                ),
-                atol=1e-12 if log_domain else 0.0,
-                what=f"vectorized suite benchmark {name!r}",
-            )
-        return result
-    spn = build_benchmark(name)
-    if log_domain:
-        from ..spn.evaluate import evaluate_log_batch
-
-        return evaluate_log_batch(spn, data)
-    return evaluate_batch(spn, data)
+    return InferenceSession(name)
 
 
 def suite_summary() -> List[Tuple[str, int, int, int, int]]:

@@ -20,7 +20,6 @@ from repro.api import (
     evidence_rows,
     query_type,
     serialize_query,
-    session_for,
 )
 from repro.platforms import available_platforms
 from repro.spn.evaluate import (
@@ -434,35 +433,38 @@ class TestSession:
         session = InferenceSession(spn)
         assert session.log_partition() == pytest.approx(evaluate_log(spn, {}))
 
-    def test_session_for_is_cached_per_model_and_engine(self, spn):
-        assert session_for(spn) is session_for(spn)
-        assert session_for(spn) is not session_for(spn, engine="python")
-        from repro.suite.registry import benchmark_session
+    def test_marginal_still_matches_reference_evaluate(self, spn):
+        session = InferenceSession(spn)
+        assert session.run(Marginal({0: 1}))[0] == pytest.approx(evaluate(spn, {0: 1}))
 
-        assert session_for("Banknote") is benchmark_session("Banknote")
+    def test_mutated_model_refreshes_lowering_throughput_and_plan(self):
+        # Regression: after a root move the passes, log Z and domains()
+        # followed the new network, while operation_list(), throughput()
+        # and plan() kept reporting the pre-mutation one.
+        from repro.spn.graph import SPN
+        from repro.spn.linearize import linearize
 
-    def test_session_for_cache_is_bounded(self):
-        # Regression: sessions strongly reference their models, so the
-        # wrapper cache must be LRU-bounded — a model-churning caller
-        # (structure search scoring many candidate SPNs) must not leak
-        # every SPN it ever touched.
-        import gc
-        import weakref
-
-        from repro.api.session import _SESSION_CACHE, _SESSION_CACHE_CAPACITY
-
-        refs = []
-        for seed in range(_SESSION_CACHE_CAPACITY + 8):
-            model = generate_rat_spn(
-                RatSpnConfig(n_vars=3, depth=3, repetitions=1, n_sums=1, seed=seed)
-            )
-            refs.append(weakref.ref(model))
-            session_for(model)
-        assert len(_SESSION_CACHE) <= _SESSION_CACHE_CAPACITY
-        del model
-        gc.collect()
-        # The evicted early models are collectable again.
-        assert any(ref() is None for ref in refs[:8])
+        spn = SPN()
+        s0 = SPN.bernoulli_leaf(spn, 0, 0.5)
+        p = spn.add_product([s0, SPN.bernoulli_leaf(spn, 1, 0.6)])
+        spn.set_root(p)
+        session = InferenceSession(spn, warm=True)
+        query = Likelihood({1: 1})
+        assert session.run(query)[0] == pytest.approx(0.6)
+        session.operation_list(), session.throughput("CPU"), session.plan(query)
+        q = spn.add_product([s0, SPN.bernoulli_leaf(spn, 1, 1.0)])
+        spn.set_root(spn.add_sum([p, q], [0.5, 0.5]))
+        assert session.run(query)[0] == pytest.approx(0.8)
+        fresh = InferenceSession(spn)
+        assert (
+            session.operation_list().n_operations,
+            session.throughput("CPU").cycles,
+            session.plan(query).tape_slots,
+        ) == (
+            linearize(spn).n_operations,
+            fresh.throughput("CPU").cycles,
+            fresh.plan(query).tape_slots,
+        )
 
     def test_throughput_on_every_registered_platform(self):
         session = InferenceSession("Banknote")
@@ -483,43 +485,3 @@ class TestSession:
         session = InferenceSession(spn)
         assert session.throughput("CPU").ops_per_cycle > 0
 
-
-# --------------------------------------------------------------------------- #
-# Scalar wrappers are single-row sessions
-# --------------------------------------------------------------------------- #
-class TestScalarWrappers:
-    def test_wrappers_equal_single_row_sessions(self, spn):
-        import warnings
-
-        from repro.spn.queries import (
-            conditional,
-            log_marginal,
-            marginal,
-            most_probable_explanation,
-        )
-
-        session = InferenceSession(spn)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert marginal(spn, {0: 1}) == session.run(Marginal({0: 1}))[0]
-            assert log_marginal(spn, {0: 1}) == session.run(Marginal({0: 1}, log=True))[0]
-            assert (
-                conditional(spn, {0: 1}, {1: 0})
-                == session.run(Conditional(evidence={1: 0}, query={0: 1}))[0]
-            )
-            assert most_probable_explanation(spn, {0: 1}) == session.run(MPE({0: 1}))[0]
-
-    def test_wrappers_emit_deprecation_warning(self, spn):
-        from repro.spn.queries import marginal
-
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            marginal(spn, {0: 1})
-
-    def test_marginal_still_matches_reference_evaluate(self, spn):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.spn.queries import marginal
-
-            assert marginal(spn, {0: 1}) == pytest.approx(evaluate(spn, {0: 1}))

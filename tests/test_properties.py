@@ -2,7 +2,6 @@
 
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -24,9 +23,7 @@ from repro.spn import io
 from repro.spn.evaluate import evaluate, evaluate_batch, evaluate_log, partition_function
 from repro.spn.generate import generate_rat_spn, random_evidence
 from repro.spn.linearize import linearize
-from repro.spn.queries import most_probable_explanation
 from strategies import full_evidence as _full_evidence
-from strategies import partial_evidence as _partial_evidence
 from strategies import rat_configs
 
 # Keep hypothesis fast and deterministic for CI-style runs.
@@ -88,7 +85,7 @@ class TestSpnProperties:
     @given(config=rat_configs, seed=st.integers(0, 1000))
     def test_mpe_is_no_worse_than_a_random_assignment(self, config, seed):
         spn = generate_rat_spn(config)
-        assignment = most_probable_explanation(spn)
+        assignment = InferenceSession(spn).run(MPE({}))[0]
         random_assignment = _full_evidence(spn, seed)
         assert evaluate(spn, assignment) >= evaluate(spn, random_assignment) - 1e-12
 
@@ -157,63 +154,9 @@ class TestLoweringProperties:
 
 
 # --------------------------------------------------------------------------- #
-# Typed query API: scalar wrappers == single-row sessions, exact round-trips
+# Typed query API: exact round-trips, a row alone == the row in its batch
 # --------------------------------------------------------------------------- #
 class TestQueryApiProperties:
-    @_SETTINGS
-    @given(config=rat_configs, seed=st.integers(0, 1000))
-    def test_scalar_marginal_equals_single_row_session_exactly(self, config, seed):
-        from repro.spn.queries import log_marginal, marginal
-
-        spn = generate_rat_spn(config)
-        session = InferenceSession(spn)
-        evidence = _partial_evidence(spn, seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert marginal(spn, evidence) == session.run(Marginal(dict(evidence)))[0]
-            assert (
-                log_marginal(spn, evidence)
-                == session.run(Marginal(dict(evidence), log=True))[0]
-            )
-
-    @_SETTINGS
-    @given(config=rat_configs, seed=st.integers(0, 1000))
-    def test_scalar_conditional_equals_single_row_session_exactly(self, config, seed):
-        from repro.spn.queries import conditional
-
-        spn = generate_rat_spn(config)
-        session = InferenceSession(spn)
-        evidence = _partial_evidence(spn, seed)
-        rng = np.random.default_rng(seed + 1)
-        var = spn.variables()[seed % len(spn.variables())]
-        evidence.pop(var, None)
-        query = {var: int(rng.integers(0, 2))}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            try:
-                scalar = conditional(spn, query, evidence)
-            except ZeroDivisionError:
-                value = session.run(
-                    Conditional(evidence=dict(evidence), query=dict(query))
-                )[0]
-                assert math.isnan(value)
-                return
-        assert (
-            scalar
-            == session.run(Conditional(evidence=dict(evidence), query=dict(query)))[0]
-        )
-
-    @_SETTINGS
-    @given(config=rat_configs, seed=st.integers(0, 1000))
-    def test_scalar_mpe_equals_single_row_session_exactly(self, config, seed):
-        spn = generate_rat_spn(config)
-        session = InferenceSession(spn)
-        evidence = _partial_evidence(spn, seed, keep=0.4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            scalar = most_probable_explanation(spn, evidence)
-        assert scalar == session.run(MPE(dict(evidence)))[0]
-
     @_SETTINGS
     @given(
         config=rat_configs,
@@ -253,6 +196,15 @@ class TestQueryApiProperties:
             assert got == expected
         else:
             assert np.array_equal(got, expected)
+        # Each row run alone is bit-identical to the same row in the batch.
+        alone = [
+            session.run(type(query).join_rows([row], **query.params()))[0]
+            for row in query.split_rows()
+        ]
+        if kind == "mpe":
+            assert alone == expected
+        else:
+            assert np.array_equal(alone, expected)
 
 
 # --------------------------------------------------------------------------- #

@@ -36,7 +36,7 @@ from repro.api import (
 from repro.serving.server import KIND_LIKELIHOOD, KIND_LOG_LIKELIHOOD, KIND_MPE
 from repro.spn.evaluate import MARGINALIZED, evaluate_batch, evaluate_log_batch, row_evidence
 from repro.spn.generate import RatSpnConfig, generate_rat_spn, random_evidence
-from repro.spn.queries import mpe_row as most_probable_explanation
+from repro.spn.queries import mpe_row
 from repro.suite.registry import build_benchmark, get_profile
 
 BENCHMARK = "Banknote"
@@ -206,7 +206,7 @@ class TestServerCorrectness:
         with InferenceServer(models=[BENCHMARK]) as server:
             served = server.query(BENCHMARK, rows[:4], kind=KIND_MPE)
         expected = [
-            most_probable_explanation(spn, row_evidence(row)) for row in rows[:4]
+            mpe_row(spn, row_evidence(row)) for row in rows[:4]
         ]
         assert served == expected
 
@@ -217,11 +217,6 @@ class TestServerCorrectness:
         with InferenceServer(models=[BENCHMARK]) as server:
             from_mapping = server.query(BENCHMARK, evidence, kind=KIND_LIKELIHOOD)[0]
         assert from_mapping == evaluate_batch(spn, row, engine="vectorized")[0]
-
-    def test_python_engine_serving(self, spn, rows):
-        with InferenceServer(models=[BENCHMARK], engine="python") as server:
-            served = server.query(BENCHMARK, rows[:8], kind=KIND_LIKELIHOOD)
-        assert np.array_equal(served, evaluate_batch(spn, rows[:8], engine="python"))
 
     def test_short_and_long_rows_normalize_exactly(self, spn):
         short = np.array([1, 0], dtype=np.int64)  # missing vars marginalize

@@ -101,10 +101,13 @@ class TestEngineAgreement:
     def test_execute_matches_operation_list_execute(self, small_rat_ops):
         tape = compile_tape(small_rat_ops)
         for evidence in ({}, {0: 1}, {1: 0, 2: 1, 9: 0}):
-            assert tape.execute(evidence) == pytest.approx(
+            row = np.full((1, 10), MARGINALIZED, dtype=np.int64)
+            for var, value in evidence.items():
+                row[0, var] = value
+            assert tape.execute_batch(row)[0] == pytest.approx(
                 small_rat_ops.execute(evidence), rel=1e-12
             )
-            assert tape.execute(evidence, log_domain=True) == pytest.approx(
+            assert tape.execute_batch(row, log_domain=True)[0] == pytest.approx(
                 math.log(small_rat_ops.execute(evidence)), rel=1e-9
             )
 
@@ -173,13 +176,11 @@ class TestConventionsAndErrors:
 
     def test_execute_baseline_engines_agree(self, small_rat_ops):
         data = random_evidence(10, observed_fraction=0.7, seed=9, n_samples=10)
-        reference = execute_baseline(small_rat_ops, data, engine="python")
-        vectorized = execute_baseline(
-            small_rat_ops, data, engine="vectorized", check=True
-        )
+        reference = execute_baseline(small_rat_ops, data)
+        vectorized = cached_tape(small_rat_ops).execute_batch(data)
         np.testing.assert_allclose(vectorized, reference, rtol=1e-9)
 
-    def test_mismatch_error_is_raised_on_corrupted_tape(self, small_rat_ops, monkeypatch):
+    def test_mismatch_error_is_raised_on_corrupted_tape(self, small_rat_spn, monkeypatch):
         data = random_evidence(10, observed_fraction=0.7, seed=9, n_samples=4)
         monkeypatch.setattr(
             CompiledTape,
@@ -187,7 +188,7 @@ class TestConventionsAndErrors:
             lambda self, d, log_domain=False: np.zeros(len(d)) + 0.123,
         )
         with pytest.raises(EngineMismatchError):
-            execute_baseline(small_rat_ops, data, engine="vectorized", check=True)
+            evaluate_batch(small_rat_spn, data, engine="vectorized", check=True)
 
     def test_any_negative_value_marginalizes_in_every_engine(self, small_rat_spn):
         # The MARGINALIZED convention: every negative value means "not
@@ -200,8 +201,8 @@ class TestConventionsAndErrors:
         for values in (
             evaluate_batch(small_rat_spn, odd, engine="python"),
             evaluate_batch(small_rat_spn, odd, engine="vectorized"),
-            execute_baseline(small_rat_ops, odd, engine="python"),
-            execute_baseline(small_rat_ops, odd, engine="vectorized"),
+            execute_baseline(small_rat_ops, odd),
+            cached_tape(small_rat_ops).execute_batch(odd),
         ):
             np.testing.assert_allclose(values, expected, rtol=1e-12)
 
@@ -229,7 +230,8 @@ class TestCachedTape:
         del old
         second = cached_tape(ops)
         assert second is not first
-        assert second.execute({}) == pytest.approx(expected)
+        row = np.full((1, 10), MARGINALIZED, dtype=np.int64)
+        assert second.execute_batch(row)[0] == pytest.approx(expected)
 
     def test_mutated_network_recompiles(self):
         spn = SPN()

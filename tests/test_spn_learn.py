@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import InferenceSession, LogLikelihood
 from repro.spn.datasets import DatasetSpec, empirical_loglik, generate_dataset, train_test_split
 from repro.spn.evaluate import MARGINALIZED, evaluate_batch, partition_function
 from repro.spn.learn import LearnConfig, learn_spn, pairwise_mutual_information
-from repro.spn.queries import log_likelihood
 
 from oracle import BruteForceOracle
 from strategies import learn_configs
+
+
+def log_likelihood(spn, data) -> float:
+    """Average normalized log-likelihood of the rows of ``data``."""
+    session = InferenceSession(spn)
+    return float(session.run(LogLikelihood(data)).mean() - session.log_partition())
 
 
 class TestDatasets:

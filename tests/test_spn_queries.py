@@ -1,9 +1,8 @@
-"""Tests for marginal, conditional, likelihood and MPE queries.
+"""Tests for marginal, conditional, likelihood and MPE queries on single rows.
 
-These exercise the scalar dict-based entry points of
-:mod:`repro.spn.queries`, which are deprecated thin wrappers over
-single-row :class:`repro.api.InferenceSession` execution — the deprecation
-warnings are expected and silenced module-wide.
+Each answer is a one-row batch through :class:`repro.api.InferenceSession`;
+the MPE tie test also drives the per-row engine
+:func:`repro.spn.queries.mpe_row` directly.
 """
 
 import math
@@ -11,18 +10,25 @@ import math
 import numpy as np
 import pytest
 
+from repro.api import MPE, Conditional, InferenceSession, LogLikelihood, Marginal
 from repro.spn.datasets import DatasetSpec, generate_dataset
 from repro.spn.evaluate import evaluate
 from repro.spn.learn import learn_spn
-from repro.spn.queries import (
-    conditional,
-    log_likelihood,
-    log_marginal,
-    marginal,
-    most_probable_explanation,
-)
+from repro.spn.queries import mpe_row
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+
+def marginal(spn, evidence=None, log=False):
+    return InferenceSession(spn).run(Marginal(dict(evidence or {}), log=log))[0]
+
+
+def conditional(spn, query, evidence):
+    return InferenceSession(spn).run(
+        Conditional(evidence=dict(evidence), query=dict(query))
+    )[0]
+
+
+def mpe(spn, evidence=None):
+    return InferenceSession(spn).run(MPE(dict(evidence or {})))[0]
 
 
 class TestMarginals:
@@ -30,7 +36,7 @@ class TestMarginals:
         assert marginal(mixture_spn, {0: 1}) == pytest.approx(evaluate(mixture_spn, {0: 1}))
 
     def test_log_marginal(self, mixture_spn):
-        assert log_marginal(mixture_spn, {0: 1}) == pytest.approx(
+        assert marginal(mixture_spn, {0: 1}, log=True) == pytest.approx(
             math.log(marginal(mixture_spn, {0: 1}))
         )
 
@@ -52,23 +58,12 @@ class TestConditionals:
         with pytest.raises(ValueError):
             conditional(mixture_spn, {0: 1}, {0: 0})
 
-    def test_zero_probability_evidence_rejected(self):
-        from repro.spn.graph import SPN
-
-        spn = SPN()
-        # X0 is deterministically 1, X1 ~ Bernoulli(0.5).
-        x0 = spn.add_sum([spn.add_indicator(0, 1)], weights=[1.0])
-        x1 = SPN.bernoulli_leaf(spn, 1, 0.5)
-        spn.set_root(spn.add_product([x0, x1]))
-        with pytest.raises(ZeroDivisionError):
-            conditional(spn, {1: 1}, {0: 0})
-
     def test_deep_network_underflow_no_spurious_zero_division(self):
         # Regression: a deep product chain drives the evidence probability
-        # below the smallest positive float64 — the old linear-domain
-        # implementation raised a spurious ZeroDivisionError here.  The
-        # conditional itself is perfectly well-defined (the chain factor
-        # cancels), and the log-domain plan computes it exactly.
+        # below the smallest positive float64 — a linear-domain conditional
+        # reads 0/0 here.  The conditional itself is perfectly well-defined
+        # (the chain factor cancels), and the log-domain plan computes it
+        # exactly.
         from repro.spn.graph import SPN
 
         spn = SPN()
@@ -101,45 +96,37 @@ class TestLogLikelihood:
             math.log(evaluate(mixture_spn, {0: 0, 1: 0}))
             + math.log(evaluate(mixture_spn, {0: 1, 1: 1}))
         )
-        assert log_likelihood(mixture_spn, data) == pytest.approx(expected)
-
-    def test_empty_data_rejected(self, mixture_spn):
-        with pytest.raises(ValueError):
-            log_likelihood(mixture_spn, np.zeros((0, 2), dtype=int))
-
-    def test_empty_list_rejected(self, mixture_spn):
-        # Regression: [] must not normalize to one marginalized row and
-        # "score" a perfect-looking 0.0.
-        with pytest.raises(ValueError, match="at least one row"):
-            log_likelihood(mixture_spn, [])
+        values = InferenceSession(mixture_spn).run(LogLikelihood(data))
+        assert values.mean() == pytest.approx(expected)
 
     def test_zero_column_batch_with_rows_still_scores(self, mixture_spn):
-        # A (n, 0) batch has rows (all fully marginalized): log Z cancels
-        # and the average is 0.0, as before the typed-API rewrite.
-        assert log_likelihood(mixture_spn, np.zeros((3, 0), dtype=int)) == pytest.approx(0.0)
+        # A (n, 0) batch has rows, all fully marginalized: each scores log Z.
+        session = InferenceSession(mixture_spn)
+        values = session.run(LogLikelihood(np.zeros((3, 0), dtype=int)))
+        assert values.shape == (3,)
+        assert values - session.log_partition() == pytest.approx(0.0)
 
 
 class TestMpe:
     def test_tiny_spn_mode(self, tiny_spn):
         # Marginals are independent: mode is X0=0 (p=0.7), X1=1 (p=0.8).
-        assignment = most_probable_explanation(tiny_spn)
-        assert assignment == {0: 0, 1: 1}
+        assert mpe(tiny_spn) == {0: 0, 1: 1}
 
     def test_respects_evidence(self, tiny_spn):
-        assignment = most_probable_explanation(tiny_spn, {0: 1})
+        assignment = mpe(tiny_spn, {0: 1})
         assert assignment[0] == 1
         assert assignment[1] == 1
 
     def test_assignment_has_positive_probability(self, small_random_spn):
-        assignment = most_probable_explanation(small_random_spn)
+        assignment = mpe(small_random_spn)
         assert evaluate(small_random_spn, assignment) > 0.0
 
     def test_covers_all_variables(self, small_rat_spn):
-        assignment = most_probable_explanation(small_rat_spn)
+        assignment = mpe(small_rat_spn)
         assert sorted(assignment) == small_rat_spn.variables()
 
     def test_mpe_at_least_as_likely_as_random(self, small_rat_spn, rng):
-        assignment = most_probable_explanation(small_rat_spn)
+        assignment = mpe(small_rat_spn)
         mpe_value = evaluate(small_rat_spn, assignment)
         for _ in range(10):
             random_assignment = {
@@ -149,7 +136,7 @@ class TestMpe:
 
     def test_exact_mpe_beats_exhaustive_search_ties(self, small_rat_spn):
         # Small state space -> the exact path must return the global optimum.
-        assignment = most_probable_explanation(small_rat_spn)
+        assignment = mpe(small_rat_spn)
         mpe_value = evaluate(small_rat_spn, assignment)
         import itertools
 
@@ -170,7 +157,7 @@ class TestMpe:
             [spn.add_indicator(0, 1)] + [spn.add_parameter(2e-2) for _ in range(500)]
         )
         spn.set_root(spn.add_sum([worse, better], [0.5, 0.5]))
-        assert most_probable_explanation(spn) == {0: 1}
+        assert mpe(spn) == {0: 1}
 
     def test_refinement_keeps_traced_value_of_ignored_variable(self):
         # Thirteen binary variables exceed the exact-enumeration budget, so
@@ -180,7 +167,6 @@ class TestMpe:
         # different engine (the python walk) than the flips once read some
         # of these ties as gains and flipped the traced 0 to 1.
         from repro.spn.graph import SPN
-        from repro.spn.queries import mpe_row
 
         for seed in range(20):
             probs = np.random.default_rng(seed).uniform(0.05, 0.95, 12)
@@ -195,7 +181,7 @@ class TestMpe:
     def test_learned_model_mpe_matches_cluster_structure(self):
         data = generate_dataset(DatasetSpec(n_vars=6, n_rows=500, n_clusters=1, noise=0.05, seed=8))
         spn = learn_spn(data)
-        assignment = most_probable_explanation(spn)
+        assignment = mpe(spn)
         # With one latent cause and low noise the mode is all-zeros or all-ones.
         values = set(assignment.values())
         assert len(values) == 1
