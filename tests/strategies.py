@@ -89,6 +89,16 @@ def full_evidence(spn, seed):
     return {v: int(rng.integers(0, 2)) for v in spn.variables()}
 
 
+def partial_evidence(spn, seed, keep=0.6):
+    """A random partial assignment keeping each variable with rate ``keep``."""
+    rng = np.random.default_rng(seed)
+    return {
+        v: int(rng.integers(0, 2))
+        for v in spn.variables()
+        if rng.random() < keep
+    }
+
+
 #: Every typed query kind, as accepted by :func:`make_query`.
 ALL_KINDS = (
     "likelihood",

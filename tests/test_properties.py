@@ -23,7 +23,9 @@ from repro.spn import io
 from repro.spn.evaluate import evaluate, evaluate_batch, evaluate_log, partition_function
 from repro.spn.generate import generate_rat_spn, random_evidence
 from repro.spn.linearize import linearize
+from repro.spn.queries import mpe_row
 from strategies import full_evidence as _full_evidence
+from strategies import partial_evidence as _partial_evidence
 from strategies import rat_configs
 
 # Keep hypothesis fast and deterministic for CI-style runs.
@@ -154,9 +156,54 @@ class TestLoweringProperties:
 
 
 # --------------------------------------------------------------------------- #
-# Typed query API: exact round-trips, a row alone == the row in its batch
+# Typed query API: scalar engines == single-row sessions, exact round-trips
 # --------------------------------------------------------------------------- #
 class TestQueryApiProperties:
+    @_SETTINGS
+    @given(config=rat_configs, seed=st.integers(0, 1000))
+    def test_scalar_marginal_equals_single_row_session_exactly(self, config, seed):
+        # The dict-based scalar walks are the reference engine's own, so a
+        # reference-engine session answers a single dict row bit-identically.
+        spn = generate_rat_spn(config)
+        session = InferenceSession(spn, engine="python")
+        evidence = _partial_evidence(spn, seed)
+        assert evaluate(spn, evidence) == session.run(Marginal(dict(evidence)))[0]
+        assert (
+            evaluate_log(spn, evidence)
+            == session.run(Marginal(dict(evidence), log=True))[0]
+        )
+
+    @_SETTINGS
+    @given(config=rat_configs, seed=st.integers(0, 1000))
+    def test_scalar_conditional_equals_single_row_session_exactly(self, config, seed):
+        spn = generate_rat_spn(config)
+        session = InferenceSession(spn, engine="python")
+        evidence = _partial_evidence(spn, seed)
+        rng = np.random.default_rng(seed + 1)
+        var = spn.variables()[seed % len(spn.variables())]
+        evidence.pop(var, None)
+        query = {var: int(rng.integers(0, 2))}
+        log_scalar = evaluate_log(spn, {**evidence, **query}) - evaluate_log(spn, evidence)
+        log_value = session.run(
+            Conditional(evidence=dict(evidence), query=dict(query), log=True)
+        )[0]
+        value = session.run(Conditional(evidence=dict(evidence), query=dict(query)))[0]
+        if math.isnan(log_scalar):  # P(e) = 0
+            assert math.isnan(log_value) and math.isnan(value)
+            return
+        assert log_value == log_scalar
+        assert value == np.exp(log_scalar)
+
+    @_SETTINGS
+    @given(config=rat_configs, seed=st.integers(0, 1000))
+    def test_scalar_mpe_equals_single_row_session_exactly(self, config, seed):
+        spn = generate_rat_spn(config)
+        session = InferenceSession(spn)
+        evidence = _partial_evidence(spn, seed, keep=0.4)
+        refine = bool(seed % 2)
+        scalar = mpe_row(spn, evidence, refine=refine)
+        assert scalar == session.run(MPE(dict(evidence), refine=refine))[0]
+
     @_SETTINGS
     @given(
         config=rat_configs,

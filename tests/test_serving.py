@@ -218,6 +218,12 @@ class TestServerCorrectness:
             from_mapping = server.query(BENCHMARK, evidence, kind=KIND_LIKELIHOOD)[0]
         assert from_mapping == evaluate_batch(spn, row, engine="vectorized")[0]
 
+    def test_python_engine_serving(self, spn, rows):
+        with InferenceServer() as server:
+            server.publish(BENCHMARK, "1", InferenceSession(BENCHMARK, engine="python"))
+            served = server.query(BENCHMARK, rows[:8], kind=KIND_LIKELIHOOD)
+        assert np.array_equal(served, evaluate_batch(spn, rows[:8], engine="python"))
+
     def test_short_and_long_rows_normalize_exactly(self, spn):
         short = np.array([1, 0], dtype=np.int64)  # missing vars marginalize
         # Unobserved surplus columns trim exactly; *observed* ones are
