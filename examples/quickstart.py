@@ -112,7 +112,7 @@ def main() -> None:
         RatSpnConfig(n_vars=64, depth=64, repetitions=2, n_sums=2,
                      split_balance=0.1, seed=7)
     )
-    fast = InferenceSession(big, warm=True)          # vectorized tape, pinned
+    fast = InferenceSession(big, warm=True)          # vectorized tape, compiled now
     reference_session = InferenceSession(big, engine="python")
 
     n_rows = 500

@@ -132,8 +132,9 @@ class InferenceSession:
         prefix (:class:`~repro.spn.compiled.EngineMismatchError` on
         disagreement); see :func:`repro.spn.evaluate.evaluate_batch`.
     warm:
-        Compile and pin the model's tape at construction instead of on the
-        first query (keeps compilation latency out of the serving path).
+        Compile the model's tape into the tape cache at construction
+        instead of on the first query (keeps compilation latency out of
+        the serving path).
     tape:
         A precompiled :class:`~repro.spn.compiled.CompiledTape` for
         ``model`` (AOT artifacts, :mod:`repro.lifecycle`).  The session
@@ -183,15 +184,28 @@ class InferenceSession:
         self.on_evaluate: Optional[Callable[[str, int], None]] = None
         #: key -> (fingerprint, pinned children, value); see :meth:`_fresh`.
         self._cache: Dict[str, tuple] = {}
-        self.tape = None
-        if tape is not None and self.engine == "vectorized":
-            from ..spn.compiled import adopt_tape
+        if self.engine == "vectorized" and (tape is not None or warm):
+            from ..spn.compiled import adopt_tape, cached_tape
 
-            self.tape = adopt_tape(self.spn, tape)
-        elif warm and self.engine == "vectorized":
-            from ..spn.compiled import cached_tape
+            if tape is not None:
+                adopt_tape(self.spn, tape)
+            else:
+                cached_tape(self.spn)
 
-            self.tape = cached_tape(self.spn)
+    @property
+    def tape(self):
+        """The compiled tape the vectorized passes run (``None`` on the
+        reference engine).
+
+        Read from the tape cache (:func:`repro.spn.compiled.cached_tape`),
+        which holds it while the model lives and recompiles after a
+        structural change, so this is never a stale program.
+        """
+        if self.engine != "vectorized":
+            return None
+        from ..spn.compiled import cached_tape
+
+        return cached_tape(self.spn)
 
     # ------------------------------------------------------------------ #
     # Evidence handling
@@ -337,13 +351,9 @@ class InferenceSession:
 
     def _plan_stats(self) -> dict:
         """Memory statistics of the executor behind this session's passes."""
-        if self.engine != "vectorized":
+        tape = self.tape
+        if tape is None:
             return {"tape_slots": 0, "peak_slots": 0}
-        from ..spn.compiled import cached_tape
-
-        # The tape the passes run, not the pinned one: a mutated model
-        # recompiles.
-        tape = cached_tape(self.spn)
         if not tape.kernels:
             return {"tape_slots": tape.n_slots, "peak_slots": tape.n_slots}
         return {"tape_slots": tape.n_slots, "peak_slots": tape.memory_plan().n_physical}

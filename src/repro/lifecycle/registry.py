@@ -190,8 +190,12 @@ class ModelRegistry:
 
         if artifact is not None:
             verify_compiled(artifact.tape, artifact.plan)
-        elif getattr(session, "tape", None) is not None:
-            verify_compiled(session.tape, None)
+        else:
+            # The tape the session's passes run, read fresh from the tape
+            # cache (compiled here if the session is cold).
+            tape = getattr(session, "tape", None)
+            if tape is not None:
+                verify_compiled(tape, None)
 
         tolerance = float(artifact.tolerance) if artifact is not None else 0.0
         deviation = 0.0

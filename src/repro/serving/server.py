@@ -3,9 +3,10 @@
 :class:`InferenceServer` owns a set of *served models* — suite benchmarks
 resolved by registry name (:mod:`repro.suite.registry`) or explicitly
 registered SPNs — each bound to an
-:class:`~repro.api.session.InferenceSession` with its compiled tape pinned,
-an admission queue (:class:`~repro.serving.queue.MicroBatchQueue`) and a
-pool of worker threads.  Clients submit **typed query objects**
+:class:`~repro.api.session.InferenceSession` whose tape is compiled and
+statically verified at registration, an admission queue
+(:class:`~repro.serving.queue.MicroBatchQueue`) and a pool of worker
+threads.  Clients submit **typed query objects**
 (:mod:`repro.api.queries` — all ten kinds: likelihood, log-likelihood,
 marginal, conditional, MPE, plus the analysis kinds sample, expectation,
 entropy, mutual information and classify) or their serialized payloads;
@@ -158,15 +159,15 @@ class ServedModel:
 
     ``session`` is the model's :class:`~repro.api.session.InferenceSession`
     — the exact object an offline caller would use, so serving cannot drift
-    from direct execution; the SPN, evidence width and pinned tape are the
-    session's (exposed as read-through properties).  ``n_vars`` is the
+    from direct execution; the SPN, evidence width and compiled tape are
+    the session's (exposed as read-through properties).  ``n_vars`` is the
     model's evidence width: submitted rows are normalized to exactly this
     many columns (shorter rows are padded with
     :data:`~repro.spn.evaluate.MARGINALIZED`; unobserved surplus columns
     are trimmed exactly, observed ones are rejected at admission).  The
-    session's pinned ``tape`` (compiled at registration under the warm
-    default, or shipped by an AOT artifact) can never be evicted while the
-    model is served.
+    ``tape`` is the one the session's passes run (compiled at
+    registration, or shipped by an AOT artifact); the tape cache holds it
+    while the model is served and recompiles it if the model changes.
 
     The server keeps exactly **one** canonical ``ServedModel`` per
     installed ``(name, version)`` and pins it on every admitted work item,
@@ -346,9 +347,6 @@ class InferenceServer:
         Worker threads pulling micro-batches.  One worker already keeps the
         NumPy kernels busy; more help when MPE queries (per-row Python work)
         mix with batched likelihoods.
-    warm:
-        Compile every hosted model's tape at registration instead of on the
-        first request (keeps compilation latency out of the serving path).
     slow_query_s:
         Slow-query threshold in seconds.  A request whose submit-to-result
         latency meets it is logged at WARNING on the ``repro.serving``
@@ -376,7 +374,6 @@ class InferenceServer:
         models: Union[Iterable[object], Mapping[str, SPN], None] = None,
         policy: Optional[BatchingPolicy] = None,
         n_workers: int = 1,
-        warm: bool = True,
         slow_query_s: Optional[float] = None,
         max_in_flight: Optional[int] = None,
         max_rescues: int = 3,
@@ -393,7 +390,6 @@ class InferenceServer:
         self.policy = policy or BatchingPolicy()
         self.metrics = ServingMetrics()
         self.slow_query_s = slow_query_s
-        self._warm = warm
         #: The versioned model store (publish / hot-swap / rollback).
         self.registry = ModelRegistry()
         #: Canonical ServedModel per installed (name, version); admission
@@ -475,7 +471,7 @@ class InferenceServer:
             return self.add_artifact(spn, name=name)
         if self.registry.live_version(name) is not None:
             raise ValueError(f"model {name!r} is already hosted")
-        session = InferenceSession(spn if spn is not None else name, warm=self._warm)
+        session = InferenceSession(spn if spn is not None else name, warm=True)
         return self._install(name, version, session, artifact=None, validate=False).served
 
     def add_artifact(
@@ -526,7 +522,7 @@ class InferenceServer:
         elif isinstance(model, InferenceSession):
             session = model
         else:
-            session = InferenceSession(model, warm=self._warm)
+            session = InferenceSession(model, warm=True)
         return self._install(
             name, version, session, artifact=artifact, validate=validate
         ).report

@@ -424,10 +424,30 @@ class TestSession:
         completion = session.run(MPE({N_VARS + 2: 1}))[0]
         assert completion[N_VARS + 2] == 1
 
-    def test_warm_session_pins_tape(self, spn):
-        assert InferenceSession(spn, warm=True).tape is not None
-        assert InferenceSession(spn).tape is None
-        assert InferenceSession(spn, engine="python", warm=True).tape is None
+    def test_warm_session_pins_tape(self, monkeypatch):
+        # warm=True compiles the tape into the tape cache at construction
+        # (which holds it while the model lives), so the first query
+        # compiles nothing; a cold session compiles at its first pass, and
+        # the reference engine never compiles and has no tape.
+        from repro.spn import compiled
+
+        compiles = []
+        compile_tape = compiled.compile_tape
+        monkeypatch.setattr(
+            compiled,
+            "compile_tape",
+            lambda source: compiles.append(id(source)) or compile_tape(source),
+        )
+        config = RatSpnConfig(n_vars=N_VARS, depth=N_VARS, repetitions=2, n_sums=2, seed=3)
+        warm = InferenceSession(generate_rat_spn(config), warm=True)
+        cold = InferenceSession(generate_rat_spn(config))
+        reference = InferenceSession(generate_rat_spn(config), engine="python", warm=True)
+        assert compiles == [id(warm.spn)]
+        for session in (warm, reference, cold):
+            session.run(Likelihood({0: 1}))
+        assert compiles == [id(warm.spn), id(cold.spn)]
+        assert warm.tape is compiled.cached_tape(warm.spn)
+        assert reference.tape is None
 
     def test_log_partition_matches_reference(self, spn):
         session = InferenceSession(spn)

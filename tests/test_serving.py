@@ -224,6 +224,37 @@ class TestServerCorrectness:
             served = server.query(BENCHMARK, rows[:8], kind=KIND_LIKELIHOOD)
         assert np.array_equal(served, evaluate_batch(spn, rows[:8], engine="python"))
 
+    def test_publish_verifies_the_tape_a_mutated_session_runs(self, monkeypatch):
+        # Regression: a warm session whose model moved its root after
+        # construction was gated, and exposed as ServedModel.tape, with the
+        # tape compiled at construction while every served pass ran the new
+        # network's freshly compiled, unverified tape.
+        from repro.spn.compiled import cached_tape
+        from repro.spn.graph import SPN
+        from repro.statics import verifier
+
+        spn = SPN()
+        s0 = SPN.bernoulli_leaf(spn, 0, 0.5)
+        p = spn.add_product([s0, SPN.bernoulli_leaf(spn, 1, 0.6)])
+        spn.set_root(p)
+        session = InferenceSession(spn, warm=True)
+        q = spn.add_product([s0, SPN.bernoulli_leaf(spn, 1, 1.0)])
+        spn.set_root(spn.add_sum([p, q], [0.5, 0.5]))
+        verified = []
+        verify_compiled = verifier.verify_compiled
+        monkeypatch.setattr(
+            verifier,
+            "verify_compiled",
+            lambda tape, plan=None: verified.append(tape) or verify_compiled(tape, plan),
+        )
+        with InferenceServer() as server:
+            server.publish("m", "1", session)
+            value = server.query("m", np.array([MARGINALIZED, 1]), kind=KIND_LIKELIHOOD)
+            served = server.model("m")
+        assert value[0] == pytest.approx(0.8)
+        assert len(verified) == 1
+        assert verified[0] is cached_tape(spn) and served.tape is verified[0]
+
     def test_short_and_long_rows_normalize_exactly(self, spn):
         short = np.array([1, 0], dtype=np.int64)  # missing vars marginalize
         # Unobserved surplus columns trim exactly; *observed* ones are
