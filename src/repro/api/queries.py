@@ -118,7 +118,9 @@ def evidence_rows(evidence, n_vars: Optional[int] = None) -> np.ndarray:
     validated by :func:`~repro.spn.evaluate.as_evidence_array`).  Mappings
     are laid out with width ``max(n_vars, max variable + 1)``; arrays
     narrower than ``n_vars`` are padded with the sentinel (exact — absent
-    columns are unobserved), wider arrays are kept as-is.
+    columns are unobserved), wider arrays are kept as-is.  An empty 1-D
+    array (``[]``) is ambiguous and raises ``ValueError``: ``{}`` is one
+    unobserved row, ``np.empty((0, n_vars))`` is a batch of no rows.
     """
     width = int(n_vars or 0)
     if isinstance(evidence, Mapping):
@@ -136,6 +138,12 @@ def evidence_rows(evidence, n_vars: Optional[int] = None) -> np.ndarray:
         return row
     rows = as_evidence_array(evidence)
     if rows.ndim == 1:
+        if rows.size == 0:
+            raise ValueError(
+                "empty 1-D evidence is ambiguous: pass {} for one row with "
+                "every variable unobserved, or np.empty((0, n_vars)) for a "
+                "batch of no rows"
+            )
         rows = rows[None, :]
     if rows.ndim != 2:
         raise ValueError(

@@ -9,8 +9,9 @@ typed query of :mod:`repro.api.queries` through the same batched dispatch:
   of vectorized tape evaluations (a :class:`~repro.api.queries.Conditional`
   batch is exactly **two** log-domain passes: joint and evidence,
   subtracted — never a per-row python walk);
-* :meth:`run` executes that plan with the existing cached-tape machinery
-  (:func:`repro.spn.compiled.cached_tape`) and optional ``check=True``
+* :meth:`run` executes that plan: it resolves the model's compiled tape
+  once (:func:`repro.spn.compiled.cached_tape`) and runs every pass of
+  the query on that tape, with optional ``check=True`` verification and
   engine cross-checking;
 * :meth:`throughput` measures the bound model on any registered *platform*
   engine (:mod:`repro.platforms`) — the paper's ops/cycle metric — so the
@@ -22,22 +23,24 @@ Every evaluation pass is observable: the session counts tape evaluations
 guarantees (e.g. two passes per conditional batch, not ``2 * n_rows``).
 
 Sessions are cheap — the heavy artifacts (SPN, tape, operation list,
-partition function) are cached per model, and a structurally mutated model
-recomputes each of them.  A single answer is a one-row batch: the session
-is the only way a query runs.
+partition function, domains) are cached per model, keyed on the tape a
+query resolved, so a structurally mutated model recomputes each of them at
+its next query, while a query whose model changes midway answers from the
+tape it started on.  A single answer is a one-row batch: the session is
+the only way a query runs.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from ..observability import TRACER
-from ..spn.compiled import resolve_engine
-from ..spn.evaluate import evaluate_batch, evaluate_log_batch, row_evidence
+from ..spn.compiled import _fingerprint_parts, cached_tape, resolve_engine
+from ..spn.evaluate import evaluate_batch, evaluate_log_batch, tape_pass
 from ..spn.graph import SPN
 from ..spn.linearize import OperationList, linearize
 from ..spn.nodes import IndicatorLeaf
@@ -100,6 +103,21 @@ class QueryPlan:
     @property
     def peak_bytes_per_row(self) -> int:
         return self.peak_slots * 8
+
+
+class _Pin(NamedTuple):
+    """The model as one query resolved it; every pass of the query runs ``tape``.
+
+    ``tape`` is the compiled tape (``None`` on the reference engine).
+    ``key`` names the model state the session caches are keyed on: the
+    tape's identity, or on the reference engine the content fingerprint
+    (:func:`repro.spn.compiled.cached_tape`'s).  ``refs`` keeps what
+    ``key`` names alive, so a cache entry's ids are never reused.
+    """
+
+    tape: Optional[object]
+    key: object
+    refs: object
 
 
 def _entropy_terms(probs: np.ndarray) -> np.ndarray:
@@ -182,10 +200,10 @@ class InferenceSession:
         self.evaluations: int = 0
         #: Optional callback ``(domain, n_rows)`` invoked per tape pass.
         self.on_evaluate: Optional[Callable[[str, int], None]] = None
-        #: key -> (fingerprint, pinned children, value); see :meth:`_fresh`.
+        #: name -> (model key, what the key names, value); see :meth:`_fresh`.
         self._cache: Dict[str, tuple] = {}
         if self.engine == "vectorized" and (tape is not None or warm):
-            from ..spn.compiled import adopt_tape, cached_tape
+            from ..spn.compiled import adopt_tape
 
             if tape is not None:
                 adopt_tape(self.spn, tape)
@@ -203,9 +221,15 @@ class InferenceSession:
         """
         if self.engine != "vectorized":
             return None
-        from ..spn.compiled import cached_tape
-
         return cached_tape(self.spn)
+
+    def _pin(self) -> _Pin:
+        """Resolve the model once for one query (one tape-cache lookup)."""
+        if self.engine == "vectorized":
+            tape = cached_tape(self.spn)
+            return _Pin(tape, id(tape), tape)
+        tag, children = _fingerprint_parts(self.spn)
+        return _Pin(None, (tag, tuple(map(id, children))), children)
 
     # ------------------------------------------------------------------ #
     # Evidence handling
@@ -251,9 +275,13 @@ class InferenceSession:
         * ``Sample`` — one log pass per *free* variable of the batch (a
           multi-valued model variable unobserved in at least one row):
           the exact chain-rule sweep, batched across rows and samples.
-        * ``MPE`` — a per-row search whose candidate scoring batches
-          through the log tape internally (pass count depends on the
-          network, so it is not enumerated here).
+        * ``MPE`` — one batched search over the tape
+          (:func:`repro.spn.queries.mpe_batch`): each row with a small free
+          state space scores all its completions in one log pass; the
+          other rows share one max-product up/down pass over the tape's
+          kernels, then refine by coordinate ascent (one log pass per
+          round).  The count depends on the rows, so it is not enumerated
+          here.
 
         Every plan also carries the executor's memory statistics
         (``tape_slots``, ``peak_slots``): the compiled tape's dense slot
@@ -270,7 +298,8 @@ class InferenceSession:
         return self._plan(query)
 
     def _plan(self, query: Query) -> QueryPlan:
-        stats = self._plan_stats()
+        pin = self._pin()
+        stats = self._plan_stats(pin.tape)
         if isinstance(query, Conditional):
             return QueryPlan(
                 kind=query.kind,
@@ -286,9 +315,9 @@ class InferenceSession:
             else:
                 passes.append(EvalPass("linear", "evidence"))
             if query.normalize:
-                passes.append(
-                    EvalPass("log", "partition", cached="log_z" in self._cache)
-                )
+                entry = self._cache.get("log_z")
+                cached = entry is not None and entry[0] == pin.key
+                passes.append(EvalPass("log", "partition", cached=cached))
             post = ""
             if query.normalize:
                 post = "subtract log Z" if query.log else "exp(subtract log Z)"
@@ -334,7 +363,7 @@ class InferenceSession:
                 **stats,
             )
         if isinstance(query, Sample):
-            chain = self._sample_chain(self.encode(query.evidence), self.domains())
+            chain = self._sample_chain(self.encode(query.evidence), self._domains(pin))
             return QueryPlan(
                 kind=query.kind,
                 n_rows=query.n_rows,
@@ -344,14 +373,14 @@ class InferenceSession:
             )
         if isinstance(query, MPE):
             return QueryPlan(
-                query.kind, query.n_rows, (), postprocess="per-row MPE search",
+                query.kind, query.n_rows, (), postprocess="batched MPE search",
                 **stats,
             )
         raise TypeError(f"unknown query type {type(query).__name__}")
 
-    def _plan_stats(self) -> dict:
-        """Memory statistics of the executor behind this session's passes."""
-        tape = self.tape
+    @staticmethod
+    def _plan_stats(tape) -> dict:
+        """Memory statistics of the executor behind a query's passes."""
         if tape is None:
             return {"tape_slots": 0, "peak_slots": 0}
         if not tape.kernels:
@@ -389,40 +418,43 @@ class InferenceSession:
             return result
 
     def _run(self, query: Query):
+        pin = self._pin()
         if isinstance(query, Conditional):
-            log_joint = self._evaluate(self.encode(query.joint), log_domain=True)
-            log_evidence = self._evaluate(self.encode(query.evidence), log_domain=True)
+            log_joint = self._evaluate(self.encode(query.joint), pin, log_domain=True)
+            log_evidence = self._evaluate(self.encode(query.evidence), pin, log_domain=True)
             with np.errstate(invalid="ignore"):
                 diff = log_joint - log_evidence  # -inf - -inf -> nan (P(e) = 0)
             return diff if query.log else np.exp(diff)
         if isinstance(query, Marginal):
             if query.log or query.normalize:
-                values = self._evaluate(self.encode(query.evidence), log_domain=True)
+                values = self._evaluate(self.encode(query.evidence), pin, log_domain=True)
                 if query.normalize:
-                    values = values - self.log_partition()
+                    values = values - self._log_partition(pin)
                 return values if query.log else np.exp(values)
-            return self._evaluate(self.encode(query.evidence), log_domain=False)
+            return self._evaluate(self.encode(query.evidence), pin, log_domain=False)
         if isinstance(query, LogLikelihood):
-            return self._evaluate(self.encode(query.evidence), log_domain=True)
+            return self._evaluate(self.encode(query.evidence), pin, log_domain=True)
         if isinstance(query, Likelihood):
-            return self._evaluate(self.encode(query.evidence), log_domain=False)
+            return self._evaluate(self.encode(query.evidence), pin, log_domain=False)
         if isinstance(query, Classify):
-            return self._run_classify(query)
+            return self._run_classify(query, pin)
         if isinstance(query, Expectation):
-            return self._run_expectation(query)
+            return self._run_expectation(query, pin)
         if isinstance(query, Entropy):
-            return self._run_entropy(query)
+            return self._run_entropy(query, pin)
         if isinstance(query, MutualInformation):
-            return self._run_mutual_information(query)
+            return self._run_mutual_information(query, pin)
         if isinstance(query, Sample):
-            return self._run_sample(query)
+            return self._run_sample(query, pin)
         if isinstance(query, MPE):
-            from ..spn.queries import mpe_row
+            from ..spn.queries import mpe_batch
 
-            return [
-                mpe_row(self.spn, row_evidence(row), refine=query.refine)
-                for row in self.encode(query.evidence)
-            ]
+            # The reference engine has no passes of its own to pin; its
+            # MPE search runs on the model's cached tape like the others.
+            tape = pin.tape if pin.tape is not None else cached_tape(self.spn)
+            return mpe_batch(
+                tape, self.encode(query.evidence), self._domains(pin), query.refine
+            )
         raise TypeError(f"unknown query type {type(query).__name__}")
 
     # ------------------------------------------------------------------ #
@@ -434,12 +466,18 @@ class InferenceSession:
         ``{var: (sorted values)}`` — the state spaces every analysis kind
         sweeps over (cached by :meth:`_fresh`).
         """
+        return self._domains(self._pin())
+
+    def _domains(self, pin: _Pin) -> Dict[int, Tuple[int, ...]]:
         from ..spn.queries import _indicator_domains
 
-        return self._fresh("domains", lambda: {
-            var: tuple(sorted(values))
-            for var, values in sorted(_indicator_domains(self.spn).items())
-        })
+        def collect() -> Dict[int, Tuple[int, ...]]:
+            return {
+                var: tuple(sorted(values))
+                for var, values in sorted(_indicator_domains(self.spn).items())
+            }
+
+        return self._fresh("domains", collect, pin)
 
     def _resolve_variables(self, variables, domains) -> Tuple[int, ...]:
         """Validate a query's variable selection (``None`` = every model var)."""
@@ -453,7 +491,7 @@ class InferenceSession:
                 )
         return tuple(variables)
 
-    def _state_sweep(self, evidence: np.ndarray, entries) -> np.ndarray:
+    def _state_sweep(self, evidence: np.ndarray, entries, pin: _Pin) -> np.ndarray:
         """One batched log pass over per-entry variable replacements.
 
         ``entries`` is a sequence of assignments (tuples of ``(var,
@@ -467,9 +505,9 @@ class InferenceSession:
         for j, assignment in enumerate(entries):
             for var, value in assignment:
                 sweep[j::m, var] = value
-        return self._evaluate(sweep, log_domain=True).reshape(n, m)
+        return self._evaluate(sweep, pin, log_domain=True).reshape(n, m)
 
-    def _conditional_distributions(self, evidence, variables, domains):
+    def _conditional_distributions(self, evidence, variables, domains, pin: _Pin):
         """Per-row conditionals ``P(X_v = s | e)`` for every requested var.
 
         Two log passes (the shared state sweep, then the evidence batch).
@@ -480,8 +518,8 @@ class InferenceSession:
         zero-probability evidence are ``nan`` throughout.
         """
         entries = [((v, s),) for v in variables for s in domains[v]]
-        log_sweep = self._state_sweep(evidence, entries)
-        log_e = self._evaluate(evidence, log_domain=True)
+        log_sweep = self._state_sweep(evidence, entries, pin)
+        log_e = self._evaluate(evidence, pin, log_domain=True)
         with np.errstate(invalid="ignore"):
             cond = np.exp(log_sweep - log_e[:, None])
         for j, ((var, value),) in enumerate(entries):
@@ -491,9 +529,9 @@ class InferenceSession:
         cond[log_e == -np.inf] = np.nan
         return cond, entries, log_e
 
-    def _run_classify(self, query: Classify) -> np.ndarray:
+    def _run_classify(self, query: Classify, pin: _Pin) -> np.ndarray:
         evidence = self.encode(query.evidence)
-        domains = self.domains()
+        domains = self._domains(pin)
         if query.target not in domains:
             known = ", ".join(map(str, sorted(domains))) or "none"
             raise ValueError(
@@ -504,17 +542,17 @@ class InferenceSession:
         n, k = evidence.shape[0], len(states)
         joint = np.repeat(evidence, k, axis=0)
         joint[:, query.target] = np.tile(np.asarray(states, dtype=np.int64), n)
-        log_joint = self._evaluate(joint, log_domain=True).reshape(n, k)
-        log_evidence = self._evaluate(evidence, log_domain=True)
+        log_joint = self._evaluate(joint, pin, log_domain=True).reshape(n, k)
+        log_evidence = self._evaluate(evidence, pin, log_domain=True)
         with np.errstate(invalid="ignore"):
             diff = log_joint - log_evidence[:, None]  # P(e) = 0 rows -> nan
         return diff if query.log else np.exp(diff)
 
-    def _run_expectation(self, query: Expectation) -> np.ndarray:
+    def _run_expectation(self, query: Expectation, pin: _Pin) -> np.ndarray:
         evidence = self.encode(query.evidence)
-        domains = self.domains()
+        domains = self._domains(pin)
         variables = self._resolve_variables(query.variables, domains)
-        cond, _, _ = self._conditional_distributions(evidence, variables, domains)
+        cond, _, _ = self._conditional_distributions(evidence, variables, domains, pin)
         out = np.empty((evidence.shape[0], len(variables)))
         col = 0
         for i, var in enumerate(variables):
@@ -531,12 +569,12 @@ class InferenceSession:
             col += k
         return out
 
-    def _run_entropy(self, query: Entropy) -> np.ndarray:
+    def _run_entropy(self, query: Entropy, pin: _Pin) -> np.ndarray:
         evidence = self.encode(query.evidence)
-        domains = self.domains()
+        domains = self._domains(pin)
         variables = self._resolve_variables(query.variables, domains)
         cond, _, log_e = self._conditional_distributions(
-            evidence, variables, domains
+            evidence, variables, domains, pin
         )
         out = np.empty((evidence.shape[0], len(variables)))
         col = 0
@@ -547,9 +585,9 @@ class InferenceSession:
         out[log_e == -np.inf] = np.nan
         return out
 
-    def _run_mutual_information(self, query: MutualInformation) -> np.ndarray:
+    def _run_mutual_information(self, query: MutualInformation, pin: _Pin) -> np.ndarray:
         evidence = self.encode(query.evidence)
-        domains = self.domains()
+        domains = self._domains(pin)
         variables = self._resolve_variables(query.variables, domains)
         n, k = evidence.shape[0], len(variables)
         pair_entries = [
@@ -559,9 +597,9 @@ class InferenceSession:
             for a in domains[u]
             for b in domains[v]
         ]
-        log_pairs = self._state_sweep(evidence, pair_entries)
+        log_pairs = self._state_sweep(evidence, pair_entries, pin)
         cond, _, log_e = self._conditional_distributions(
-            evidence, variables, domains
+            evidence, variables, domains, pin
         )
         with np.errstate(invalid="ignore"):
             pair_probs = np.exp(log_pairs - log_e[:, None])
@@ -619,9 +657,9 @@ class InferenceSession:
             if len(domains[var]) > 1 and bool((evidence[:, var] < 0).any())
         ]
 
-    def _run_sample(self, query: Sample) -> np.ndarray:
+    def _run_sample(self, query: Sample, pin: _Pin) -> np.ndarray:
         evidence = self.encode(query.evidence)
-        domains = self.domains()
+        domains = self._domains(pin)
         n, width = evidence.shape
         n_samples = query.n_samples
         base = evidence.copy()
@@ -650,7 +688,7 @@ class InferenceSession:
             current = states[rows].reshape(m * n_samples, width)
             batch = np.repeat(current, k, axis=0)
             batch[:, var] = np.tile(values, m * n_samples)
-            logs = self._evaluate(batch, log_domain=True).reshape(m, n_samples, k)
+            logs = self._evaluate(batch, pin, log_domain=True).reshape(m, n_samples, k)
             peak = logs.max(axis=-1, keepdims=True)
             dead = ~np.isfinite(peak)
             if dead.any():
@@ -670,49 +708,47 @@ class InferenceSession:
             states[rows] = block
         return states
 
-    def _evaluate(self, data: np.ndarray, log_domain: bool) -> np.ndarray:
-        """One batched tape pass (the unit the evaluation hook observes)."""
+    def _evaluate(self, data: np.ndarray, pin: _Pin, log_domain: bool) -> np.ndarray:
+        """One batched pass on the query's pinned tape (the unit the
+        evaluation hook observes)."""
         domain = "log" if log_domain else "linear"
         with self._lock:
             self.evaluations += 1
         if self.on_evaluate is not None:
             self.on_evaluate(domain, data.shape[0])
         with TRACER.span("session.tape_pass", domain=domain, n_rows=data.shape[0]):
-            if log_domain:
-                return evaluate_log_batch(
-                    self.spn, data, engine=self.engine, check=self.check
-                )
-            return evaluate_batch(self.spn, data, engine=self.engine, check=self.check)
+            if pin.tape is None:
+                reference = evaluate_log_batch if log_domain else evaluate_batch
+                return reference(self.spn, data, engine="python")
+            return tape_pass(self.spn, pin.tape, data, log_domain, self.check)
 
     def log_partition(self) -> float:
         """Log partition function ``log Z`` (one log pass, cached by :meth:`_fresh`)."""
+        return self._log_partition(self._pin())
 
+    def _log_partition(self, pin: _Pin) -> float:
         def partition_pass() -> float:
             row = np.full((1, max(self.n_vars, 1)), -1, dtype=np.int64)
-            return float(self._evaluate(row, log_domain=True)[0])
+            return float(self._evaluate(row, pin, log_domain=True)[0])
 
-        return self._fresh("log_z", partition_pass)
+        return self._fresh("log_z", partition_pass, pin)
 
-    def _fresh(self, key: str, compute: Callable[[], object]):
-        """``compute()``, cached under the model's content fingerprint.
+    def _fresh(self, name: str, compute: Callable[[], object], pin: _Pin):
+        """``compute()``, cached under the model state ``pin`` resolved.
 
-        The fingerprint is the tape cache's
-        (:func:`repro.spn.compiled.cached_tape`), so a structurally mutated
-        model recomputes instead of serving a stale value.  The entry pins
-        the fingerprinted children, so a collected node's id can never be
+        The key is the query's resolution (:meth:`_pin`): the tape the
+        tape cache returned, which it recompiles after a structural change,
+        so a mutated model recomputes instead of serving a stale value.
+        The entry holds ``pin.refs``, so an id in its key can never be
         reused while the entry counts as fresh.
         """
-        from ..spn.compiled import _fingerprint_parts
-
-        tag, children = _fingerprint_parts(self.spn)
-        fingerprint = (tag, tuple(map(id, children)))
         with self._lock:
-            entry = self._cache.get(key)
-        if entry is not None and entry[0] == fingerprint:
+            entry = self._cache.get(name)
+        if entry is not None and entry[0] == pin.key:
             return entry[2]
         value = compute()
         with self._lock:
-            self._cache[key] = (fingerprint, children, value)
+            self._cache[name] = (pin.key, pin.refs, value)
         return value
 
     # ------------------------------------------------------------------ #
@@ -728,7 +764,7 @@ class InferenceSession:
             from ..suite.registry import benchmark_operation_list
 
             return benchmark_operation_list(self.name)
-        return self._fresh("ops", lambda: linearize(self.spn))
+        return self._fresh("ops", lambda: linearize(self.spn), self._pin())
 
     def throughput(self, platform, options=None):
         """Measure the bound model on a platform engine: ops/cycle.

@@ -155,7 +155,7 @@ class ModelArtifact:
 
         session = InferenceSession(self.spn, tape=self.tape, n_vars=self.n_vars)
         if self._ops is not None or self._ops_payload is not None:
-            session._fresh("ops", lambda: self.ops)
+            session._fresh("ops", lambda: self.ops, session._pin())
         return session
 
     def to_payload(self) -> dict:

@@ -189,13 +189,15 @@ class ModelRegistry:
         from ..statics.verifier import verify_compiled
 
         if artifact is not None:
-            verify_compiled(artifact.tape, artifact.plan)
+            tape, plan = artifact.tape, artifact.plan
         else:
-            # The tape the session's passes run, read fresh from the tape
-            # cache (compiled here if the session is cold).
+            # The program the session's passes run: the tape read fresh
+            # from the tape cache (compiled here if the session is cold)
+            # and its one memory plan; a kernel-less tape has no plan.
             tape = getattr(session, "tape", None)
-            if tape is not None:
-                verify_compiled(tape, None)
+            plan = tape.memory_plan() if tape is not None and tape.kernels else None
+        if tape is not None:
+            verify_compiled(tape, plan)
 
         tolerance = float(artifact.tolerance) if artifact is not None else 0.0
         deviation = 0.0

@@ -38,6 +38,7 @@ __all__ = [
     "evaluate_batch",
     "evaluate_log_batch",
     "evaluate_nodes",
+    "tape_pass",
     "partition_function",
 ]
 
@@ -227,22 +228,10 @@ def evaluate_batch(
     numpy.ndarray
         Vector of root values, shape ``(n_samples,)``.
     """
-    from .compiled import cached_tape, cross_check, resolve_engine
+    from .compiled import cached_tape, resolve_engine
 
     if resolve_engine(engine) == "vectorized":
-        data = as_evidence_array(data)
-        tape = cached_tape(spn)
-        if check:
-            tape.verify_static()
-        result = tape.execute_batch(data)
-        if check:
-            cross_check(
-                result,
-                data,
-                lambda head: evaluate_batch(spn, head, engine="python"),
-                atol=1e-300,
-            )
-        return result
+        return tape_pass(spn, cached_tape(spn), as_evidence_array(data), check=check)
     data = as_evidence_array(data)
     if data.ndim != 2:
         raise ValueError(f"expected a 2-D evidence array, got shape {data.shape}")
@@ -295,17 +284,39 @@ def evaluate_log_batch(
     :data:`MARGINALIZED` convention; ``check`` behaves as in
     :func:`evaluate_batch`.
     """
-    from .compiled import cached_tape, cross_check, resolve_engine
+    from .compiled import cached_tape, resolve_engine
 
     data = as_evidence_array(data)
     if data.ndim != 2:
         raise ValueError(f"expected a 2-D evidence array, got shape {data.shape}")
     if resolve_engine(engine) == "vectorized":
-        tape = cached_tape(spn)
-        if check:
-            tape.verify_static()
-        result = tape.execute_batch(data, log_domain=True)
-        if check:
+        return tape_pass(spn, cached_tape(spn), data, log_domain=True, check=check)
+    out = np.empty(data.shape[0], dtype=np.float64)
+    for row in range(data.shape[0]):
+        out[row] = evaluate_log(spn, row_evidence(data[row]))
+    return out
+
+
+def tape_pass(
+    spn: SPN, tape, data: np.ndarray, log_domain: bool = False, check: bool = False
+) -> np.ndarray:
+    """One pass of ``tape``, the compiled form of ``spn``, over an evidence batch.
+
+    The vectorized engine of :func:`evaluate_batch` and
+    :func:`evaluate_log_batch`, and of every session pass, which runs the
+    tape its query resolved.  ``check`` is the one ``check=True``
+    implementation: statically verify the tape and its memory plan
+    (:meth:`~repro.spn.compiled.CompiledTape.verify_static`), then compare
+    the batch prefix against the reference walk of ``spn``
+    (:func:`~repro.spn.compiled.cross_check`).
+    """
+    if check:
+        tape.verify_static()
+    result = tape.execute_batch(data, log_domain=log_domain)
+    if check:
+        from .compiled import cross_check
+
+        if log_domain:
             cross_check(
                 result,
                 data,
@@ -313,11 +324,14 @@ def evaluate_log_batch(
                 atol=1e-12,
                 what="vectorized log engine",
             )
-        return result
-    out = np.empty(data.shape[0], dtype=np.float64)
-    for row in range(data.shape[0]):
-        out[row] = evaluate_log(spn, row_evidence(data[row]))
-    return out
+        else:
+            cross_check(
+                result,
+                data,
+                lambda head: evaluate_batch(spn, head, engine="python"),
+                atol=1e-300,
+            )
+    return result
 
 
 def partition_function(spn: SPN) -> float:

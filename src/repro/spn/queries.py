@@ -1,111 +1,101 @@
-"""The per-row MPE engine behind :class:`repro.api.MPE`.
+"""The MPE engine behind :class:`repro.api.MPE`: one batched search over a tape.
 
-:func:`mpe_row` completes one evidence row with its most probable
-explanation: exact by enumeration when the free variables span a small
-state space, max-product with optional coordinate-ascent refinement
-otherwise; enumeration and refinement score their candidates through the
-vectorized log-domain tape.  Queries enter through
-:class:`repro.api.InferenceSession`, which runs this function once per
-:class:`~repro.api.MPE` row.
+:func:`mpe_batch` completes every row of an evidence batch with its most
+probable explanation.  A row whose free variables span a small state space
+is solved exactly by scoring every completion in one log pass; the other
+rows share one max-product search over the compiled tape's kernels
+(:func:`_max_product`), each then optionally refined by coordinate ascent.
+Every candidate is scored on the tape the caller passes:
+:class:`repro.api.InferenceSession` passes the tape its query resolved and
+its cached :meth:`~repro.api.InferenceSession.domains`.  :func:`mpe_row` is
+the one-row call of the same search on a model's cached tape.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Mapping, Optional
+import itertools
+from typing import Dict, List, Mapping, Optional
 
+import numpy as np
+
+from .evaluate import MARGINALIZED, row_evidence
 from .graph import SPN
-from .nodes import IndicatorLeaf, ParameterLeaf, ProductNode, SumNode
+from .nodes import IndicatorLeaf
 
-__all__ = ["mpe_row"]
+__all__ = ["mpe_row", "mpe_batch"]
 
 
-#: Exhaustive-search budget for :func:`mpe_row`: when the free variables
-#: span at most this many joint assignments, the exact MPE is found by
-#: enumerating them all through the vectorized batch engine.
+#: Exhaustive-search budget of :func:`mpe_batch`: when a row's free
+#: variables span at most this many joint assignments, its exact MPE is
+#: found by scoring them all in one log pass of the tape.
 _MPE_EXACT_BUDGET = 4096
+
+#: Target size of the dense slot matrix of one max-product block.
+_BLOCK_BYTES = 8 << 20
 
 
 def mpe_row(
     spn: SPN, evidence: Optional[Mapping[int, int]] = None, refine: bool = True
 ) -> Dict[int, int]:
-    """MPE assignment: exact for small state spaces, max-product otherwise.
+    """MPE assignment of one ``{var: value}`` evidence mapping.
 
-    This is the per-row engine behind the :class:`repro.api.MPE` query
-    kind.  When the variables left free by the evidence span at most
-    :data:`_MPE_EXACT_BUDGET` joint assignments, the exact MPE is computed
-    by evaluating every assignment in one log-domain batch with the
-    vectorized engine (:func:`~repro.spn.evaluate.evaluate_log_batch`).
-    Larger networks fall back
-    to the standard max-product approximation: the upper pass replaces every
-    sum with a (weighted) max; the downward pass follows, at every sum node,
-    the child that achieved the max, and at every product node all children.
-    Variables fixed by the evidence keep their observed value.  For
-    selective networks max-product is the exact MPE; for general SPNs it is
-    an approximation, so with ``refine`` (the default) the traced assignment
-    is additionally polished by coordinate ascent over the free variables
-    until it is a local maximum under single-variable flips.
+    The one-row call of :func:`mpe_batch`, on ``spn``'s cached tape
+    (:func:`~repro.spn.compiled.cached_tape`) with the indicator domains
+    read off the graph.  Absent variables and negative values are
+    unobserved.
     """
-    evidence = dict(evidence or {})
-    fixed = {var for var, value in evidence.items() if value >= 0}
+    from .compiled import cached_tape
+
+    observed = {var: value for var, value in (evidence or {}).items() if value >= 0}
     domains = _indicator_domains(spn)
-    free = sorted(var for var in domains if var not in fixed and len(domains[var]) > 1)
-    n_assignments = 1
-    for var in free:
-        n_assignments *= len(domains[var])
-        if n_assignments > _MPE_EXACT_BUDGET:
-            break
-    if n_assignments <= _MPE_EXACT_BUDGET:
-        return _exact_mpe(spn, evidence, domains, free)
-    max_log: Dict[int, float] = {}
-    best_child: Dict[int, int] = {}
+    width = max([*domains, *observed], default=-1) + 1
+    row = np.full((1, max(width, 1)), MARGINALIZED, dtype=np.int64)
+    for var, value in observed.items():
+        row[0, var] = value
+    return mpe_batch(cached_tape(spn), row, domains, refine)[0]
 
-    for nid in spn.topological_order():
-        node = spn.node(nid)
-        if isinstance(node, IndicatorLeaf):
-            observed = evidence.get(node.var)
-            if observed is None or observed < 0 or observed == node.value:
-                max_log[nid] = 0.0
-            else:
-                max_log[nid] = -math.inf
-        elif isinstance(node, ParameterLeaf):
-            max_log[nid] = math.log(node.prob) if node.prob > 0.0 else -math.inf
-        elif isinstance(node, SumNode):
-            best_value = -math.inf
-            best = node.children[0]
-            weights = node.weights if node.is_weighted else [1.0] * len(node.children)
-            assert weights is not None
-            for w, c in zip(weights, node.children):
-                term = (math.log(w) if w > 0.0 else -math.inf) + max_log[c]
-                if term > best_value:
-                    best_value = term
-                    best = c
-            max_log[nid] = best_value
-            best_child[nid] = best
-        elif isinstance(node, ProductNode):
-            max_log[nid] = sum(max_log[c] for c in node.children)
 
-    assignment: Dict[int, int] = dict(evidence)
-    stack = [spn.root]
-    visited = set()
-    while stack:
-        nid = stack.pop()
-        if nid in visited:
-            continue
-        visited.add(nid)
-        node = spn.node(nid)
-        if isinstance(node, IndicatorLeaf):
-            if node.var not in assignment or assignment[node.var] < 0:
-                assignment[node.var] = node.value
-        elif isinstance(node, SumNode):
-            stack.append(best_child[nid])
-        elif isinstance(node, ProductNode):
-            stack.extend(node.children)
-    # Drop any marginalization sentinels that leaked in from the evidence.
-    assignment = {var: value for var, value in assignment.items() if value >= 0}
-    if refine:
-        assignment = _refine_assignment(spn, assignment, fixed, domains)
-    return assignment
+def mpe_batch(
+    tape, data: np.ndarray, domains: Mapping[int, tuple], refine: bool = True
+) -> List[Dict[int, int]]:
+    """MPE assignments of every row of an evidence batch, on ``tape``.
+
+    ``data`` is an integer ``(n_rows, width)`` batch following the
+    :data:`~repro.spn.evaluate.MARGINALIZED` convention; ``domains`` maps
+    each model variable to its values (the indicator domains).  A row's
+    free variables are the multi-valued ones it leaves unobserved.  When
+    they span at most :data:`_MPE_EXACT_BUDGET` joint assignments, the row's
+    exact MPE is the best of all of them, scored in one log-domain pass.
+    The other rows run one max-product search together
+    (:func:`_max_product`).  For selective networks max-product is the
+    exact MPE; for general SPNs it is an approximation, so with ``refine``
+    (the default) each traced completion is polished by coordinate ascent
+    until no single-variable flip improves it.  Observed entries, also
+    those outside the model's variables, are kept as given.
+    """
+    evidences = [row_evidence(row) for row in data]
+    results: List[Optional[Dict[int, int]]] = [None] * len(data)
+    traced: List[int] = []
+    for i, evidence in enumerate(evidences):
+        free = [
+            var for var in sorted(domains)
+            if var not in evidence and len(domains[var]) > 1
+        ]
+        n_assignments = 1
+        for var in free:
+            n_assignments *= len(domains[var])
+            if n_assignments > _MPE_EXACT_BUDGET:
+                traced.append(i)
+                break
+        else:
+            results[i] = _exact_mpe(tape, evidence, domains, free)
+    if traced:
+        for i, assignment in zip(traced, _max_product(tape, data[traced])):
+            if refine:
+                fixed = set(evidences[i])
+                assignment = _refine_assignment(tape, assignment, fixed, domains)
+            results[i] = assignment
+    return results
 
 
 def _indicator_domains(spn: SPN) -> Dict[int, set]:
@@ -118,61 +108,103 @@ def _indicator_domains(spn: SPN) -> Dict[int, set]:
     return domains
 
 
+def _max_product(tape, data: np.ndarray) -> List[Dict[int, int]]:
+    """Max-product completions of an evidence batch: one up and one down pass.
+
+    The upward pass is a dense log-domain pass of the tape in which every
+    add kernel (a sum) takes the maximum of its operands instead of their
+    ``logaddexp``, recording per lane and row whether the left operand won.
+    Ties go left, so over a sum's binarized children the first maximal
+    child wins.  The downward pass walks the kernels in reverse from the
+    root and marks active slots: both operands of an active mul lane (a
+    product), the winner of an active add lane.  Each row's completion is
+    its evidence plus, for every unobserved variable, the value of an
+    active indicator input (the lowest such input slot when a
+    non-decomposable network activates several).  Product sums follow the
+    lowering's balanced order, so a near-tie can resolve differently from
+    a left-to-right walk of the graph; the two scores agree to rounding.
+    """
+    indicators = [s for s in tape.inputs if s.kind == "indicator"]
+    ind_slots = np.array([s.index for s in indicators], dtype=np.intp)
+    block = max(1, _BLOCK_BYTES // (8 * tape.n_slots))
+    results: List[Dict[int, int]] = []
+    for start in range(0, len(data), block):
+        rows = data[start:start + block]
+        active = _active_inputs(tape, rows)[ind_slots]
+        for row, on in zip(rows, active.T):
+            assignment = row_evidence(row)
+            for k in np.flatnonzero(on):
+                assignment.setdefault(indicators[k].var, indicators[k].value)
+            results.append(assignment)
+    return results
+
+
+def _active_inputs(tape, rows: np.ndarray) -> np.ndarray:
+    """``(n_inputs, n_rows)`` mask of the input slots on each row's max-product tree."""
+    slots = np.empty((tape.n_slots, rows.shape[0]), dtype=np.float64)
+    tape.input_matrix(rows, log_domain=True, out=slots[: tape.n_inputs])
+    left_won = []
+    for kernel in tape.kernels:
+        a, b = slots[kernel.arg0], slots[kernel.arg1]
+        dest = slots[kernel.dest_start:kernel.dest_stop]
+        if kernel.is_add:
+            left_won.append(a >= b)
+            np.maximum(a, b, out=dest)
+        else:
+            left_won.append(None)
+            np.add(a, b, out=dest)
+    active = np.zeros(slots.shape, dtype=bool)
+    active[tape.root_slot] = True
+    for kernel, left in zip(reversed(tape.kernels), reversed(left_won)):
+        lanes = active[kernel.dest_start:kernel.dest_stop]
+        # ``.at`` accumulates where an operand vector repeats a slot (a
+        # child shared by several sums of one level); ``active[i] |= x``
+        # would keep only the last lane's mark.
+        np.logical_or.at(active, kernel.arg0, lanes if left is None else lanes & left)
+        np.logical_or.at(active, kernel.arg1, lanes if left is None else lanes & ~left)
+    return active[: tape.n_inputs]
+
+
 def _exact_mpe(
-    spn: SPN,
-    evidence: Dict[int, int],
-    domains: Mapping[int, set],
-    free: list,
+    tape, evidence: Dict[int, int], domains: Mapping[int, tuple], free: list
 ) -> Dict[int, int]:
     """Exact MPE by exhaustive enumeration over the free variables.
 
     All joint assignments of ``free`` are laid out as one evidence batch
     (following the :data:`~repro.spn.evaluate.MARGINALIZED` convention) and
-    evaluated in a single vectorized log-domain pass — log domain so that
+    evaluated in a single log-domain pass of ``tape`` — log domain so that
     deep networks whose joint probabilities underflow to 0.0 in the linear
-    domain still rank correctly; the argmax row wins.
+    domain still rank correctly; the first best row wins.
     """
-    import itertools
-
-    import numpy as np
-
-    from .evaluate import MARGINALIZED, evaluate_log_batch
-
-    base = {var: value for var, value in evidence.items() if value >= 0}
+    base = dict(evidence)
     for var in domains:
         if var not in base and var not in free:
             base[var] = min(domains[var])  # single-value domain
     n_cols = max(*domains, *base, -1) + 1 if (domains or base) else 0
     combos = list(itertools.product(*(sorted(domains[var]) for var in free)))
     data = np.full((len(combos), max(n_cols, 1)), MARGINALIZED, dtype=np.int64)
-    for var, value in base.items():
-        data[:, var] = value
-    for j, var in enumerate(free):
-        data[:, var] = [combo[j] for combo in combos]
-    values = evaluate_log_batch(spn, data, engine="vectorized")
+    data[:, list(base)] = list(base.values())
+    data[:, free] = np.array(combos, dtype=np.int64).reshape(len(combos), len(free))
+    values = tape.execute_batch(data, log_domain=True)
     best = dict(base)
     best.update(zip(free, combos[int(np.argmax(values))]))
     return best
 
 
 def _refine_assignment(
-    spn: SPN, assignment: Dict[int, int], fixed: set, domains: Mapping[int, set]
+    tape, assignment: Dict[int, int], fixed: set, domains: Mapping[int, tuple]
 ) -> Dict[int, int]:
     """Steepest-ascent coordinate refinement of an MPE candidate.
 
     Each round lays out the current assignment (row 0) and every
     single-variable flip of it (over the free variables' indicator domains)
-    as one evidence batch, scores them all with a single vectorized
-    log-domain evaluation, and applies the best strictly-improving flip;
-    the loop stops when no flip improves, i.e. the assignment is a local
-    maximum under single-variable flips.  Scoring the incumbent in the same
-    batch compares every candidate through one engine, so a tie never
-    passes for an improvement.
+    as one evidence batch, scores them all with a single log-domain pass
+    of ``tape``, and applies the best strictly-improving flip; the loop
+    stops when no flip improves, i.e. the assignment is a local maximum
+    under single-variable flips.  Scoring the incumbent in the same batch
+    compares every candidate through one pass, so a tie never passes for
+    an improvement.
     """
-    import numpy as np
-
-    from .evaluate import MARGINALIZED, evaluate_log_batch
-
     free = [var for var in assignment if var not in fixed and len(domains.get(var, ())) > 1]
     if not free:
         return assignment
@@ -189,11 +221,10 @@ def _refine_assignment(
         if not flips:
             return best
         data = np.full((1 + len(flips), max(n_cols, 1)), MARGINALIZED, dtype=np.int64)
-        for var, value in best.items():
-            data[:, var] = value
-        for row, (var, value) in enumerate(flips, start=1):
-            data[row, var] = value
-        scores = evaluate_log_batch(spn, data, engine="vectorized")
+        data[:, list(best)] = list(best.values())
+        flip_vars, flip_values = zip(*flips)
+        data[np.arange(1, 1 + len(flips)), flip_vars] = flip_values
+        scores = tape.execute_batch(data, log_domain=True)
         top = 1 + int(np.argmax(scores[1:]))
         if not scores[top] > scores[0]:
             return best

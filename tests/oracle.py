@@ -22,14 +22,68 @@ Exactness contract (the tests' tolerance policy):
 
 The table has ``prod_v |domain(v)|`` rows, so oracles are built from
 ``strategies.small_rat_configs`` networks (at most ``2**5`` states).
+
+:func:`max_product` is the oracle of the MPE search's max-product trace: a
+walk over the node graph, one row at a time, in the graph's own child
+order, sharing no code with the tape search under test.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from repro.spn.evaluate import evaluate
+from repro.spn.nodes import IndicatorLeaf, ParameterLeaf, ProductNode, SumNode
 from repro.spn.queries import _indicator_domains
+
+
+def max_product(spn, evidence=None):
+    """Max-product trace of one ``{var: value}`` evidence mapping.
+
+    The upward walk replaces every sum with a weighted max (the first child
+    reaching it wins) and adds the children's log-values at products; the
+    downward walk follows, from the root, every child of a product and the
+    winning child of a sum.  Returns ``(assignment, score)``: the evidence
+    completed with the value of each traced indicator of an unobserved
+    variable, and the root's max-product log-value.
+    """
+    evidence = {var: value for var, value in (evidence or {}).items() if value >= 0}
+    max_log = {}
+    best_child = {}
+    for nid in spn.topological_order():
+        node = spn.node(nid)
+        if isinstance(node, IndicatorLeaf):
+            hit = evidence.get(node.var, node.value) == node.value
+            max_log[nid] = 0.0 if hit else -math.inf
+        elif isinstance(node, ParameterLeaf):
+            max_log[nid] = math.log(node.prob) if node.prob > 0.0 else -math.inf
+        elif isinstance(node, SumNode):
+            weights = node.weights if node.is_weighted else [1.0] * len(node.children)
+            best_value, best = -math.inf, node.children[0]
+            for w, c in zip(weights, node.children):
+                term = (math.log(w) if w > 0.0 else -math.inf) + max_log[c]
+                if term > best_value:
+                    best_value, best = term, c
+            max_log[nid] = best_value
+            best_child[nid] = best
+        elif isinstance(node, ProductNode):
+            max_log[nid] = sum(max_log[c] for c in node.children)
+    assignment = dict(evidence)
+    stack, visited = [spn.root], set()
+    while stack:
+        nid = stack.pop()
+        if nid in visited:
+            continue
+        visited.add(nid)
+        node = spn.node(nid)
+        if isinstance(node, IndicatorLeaf):
+            assignment.setdefault(node.var, node.value)
+        elif isinstance(node, SumNode):
+            stack.append(best_child[nid])
+        elif isinstance(node, ProductNode):
+            stack.extend(node.children)
+    return assignment, max_log[spn.root]
 
 
 class BruteForceOracle:

@@ -15,6 +15,7 @@ from repro.api import (
     LogLikelihood,
     Marginal,
     QueryKind,
+    Sample,
     as_kind,
     deserialize_query,
     evidence_rows,
@@ -119,6 +120,17 @@ class TestQueryConstruction:
         # Wider arrays are kept, not trimmed.
         wide = evidence_rows(np.array([[1, 0, 1]]), n_vars=2)
         assert wide.shape == (1, 3)
+
+    def test_empty_row_is_ambiguous_and_rejected(self, spn):
+        # ``[]`` could mean one unobserved row or no rows; answering it as
+        # one row scored log Z, a perfect-looking score for an empty dataset.
+        session = InferenceSession(spn)
+        with pytest.raises(ValueError, match=r"\{\} for one row.*np\.empty"):
+            session.run(LogLikelihood([]))
+        assert np.array_equal(
+            session.run(LogLikelihood({})), [session.log_partition()]
+        )
+        assert session.run(LogLikelihood(np.empty((0, N_VARS), dtype=int))).shape == (0,)
 
     def test_negative_evidence_variable_rejected(self):
         with pytest.raises(ValueError, match="negative"):
@@ -485,6 +497,59 @@ class TestSession:
             fresh.throughput("CPU").cycles,
             fresh.plan(query).tape_slots,
         )
+
+    def test_sample_resolves_the_model_once(self, monkeypatch):
+        # One tape-cache lookup per query: the chain passes and domains()
+        # share it instead of re-fingerprinting the graph once per pass.
+        from repro.spn import compiled
+
+        session = InferenceSession("KDDCup2k", warm=True)
+        calls = []
+        fingerprint = compiled._fingerprint_parts
+        monkeypatch.setattr(
+            compiled,
+            "_fingerprint_parts",
+            lambda source: calls.append(source) or fingerprint(source),
+        )
+        evidence = random_evidence(
+            session.n_vars, observed_fraction=0.7, seed=4, n_samples=6
+        )
+        before = session.evaluations
+        session.run(Sample(evidence, n_samples=2, seed=9))
+        assert session.evaluations - before > 1
+        assert len(calls) == 1
+
+    def test_query_answers_from_the_tape_it_started_on(self, monkeypatch):
+        # A hook moves the root between a Conditional's joint and evidence
+        # passes: both passes still run the tape the query resolved, and
+        # the next query compiles and runs the new network's tape.
+        from repro.spn import compiled
+        from repro.spn.graph import SPN
+
+        spn = SPN()
+        spn.set_root(spn.add_product(
+            [SPN.bernoulli_leaf(spn, 0, 0.5), SPN.bernoulli_leaf(spn, 1, 0.6)]
+        ))
+        moved = spn.add_product(
+            [SPN.bernoulli_leaf(spn, 0, 0.9), SPN.bernoulli_leaf(spn, 1, 0.6)]
+        )
+        session = InferenceSession(spn, warm=True)
+        started = session.tape
+        ran = []
+        execute_batch = compiled.CompiledTape.execute_batch
+
+        def recording(tape, *args, **kwargs):
+            ran.append(tape)
+            return execute_batch(tape, *args, **kwargs)
+
+        monkeypatch.setattr(compiled.CompiledTape, "execute_batch", recording)
+        session.on_evaluate = lambda domain, n: spn.set_root(moved)
+        value = session.run(Conditional(evidence={0: 1}, query={1: 1}))[0]
+        assert value == pytest.approx(0.6)  # 0.3 / 0.5, both on the old network
+        assert ran == [started, started]
+        session.on_evaluate = None
+        assert session.run(Likelihood({0: 1}))[0] == pytest.approx(0.9)
+        assert ran[-1] is not started and ran[-1] is session.tape
 
     def test_throughput_on_every_registered_platform(self):
         session = InferenceSession("Banknote")

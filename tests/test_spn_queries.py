@@ -1,20 +1,28 @@
 """Tests for marginal, conditional, likelihood and MPE queries on single rows.
 
 Each answer is a one-row batch through :class:`repro.api.InferenceSession`;
-the MPE tie test also drives the per-row engine
-:func:`repro.spn.queries.mpe_row` directly.
+the MPE tie test also drives the one-row call
+:func:`repro.spn.queries.mpe_row` directly, and :class:`TestMpeSearch`
+checks the tape's max-product search against the node-walk oracle
+(:func:`oracle.max_product`) on every suite profile.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.api import MPE, Conditional, InferenceSession, LogLikelihood, Marginal
+from repro.spn import queries
+from repro.spn.compiled import cached_tape
 from repro.spn.datasets import DatasetSpec, generate_dataset
-from repro.spn.evaluate import evaluate
+from repro.spn.evaluate import evaluate, evaluate_log, row_evidence
 from repro.spn.learn import learn_spn
 from repro.spn.queries import mpe_row
+from repro.suite.registry import benchmark_n_vars, benchmark_names, build_benchmark
+
+from oracle import max_product
 
 
 def marginal(spn, evidence=None, log=False):
@@ -185,3 +193,55 @@ class TestMpe:
         # With one latent cause and low noise the mode is all-zeros or all-ones.
         values = set(assignment.values())
         assert len(values) == 1
+
+
+def _evidence_exact(rng, n_rows, n_vars, observed=0.7):
+    """Binary rows with exactly ``round((1 - observed) * n_vars)`` free
+    variables each, drawn as the benchmark's MPE evidence is."""
+    rows = rng.integers(0, 2, size=(n_rows, n_vars))
+    free = round((1.0 - observed) * n_vars)
+    for row in rows:
+        row[rng.choice(n_vars, size=free, replace=False)] = -1
+    return rows
+
+
+class TestMpeSearch:
+    """The tape's max-product search against the node-walk oracle."""
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_max_product_trace_matches_node_walk(self, name):
+        spn, n_vars = build_benchmark(name), benchmark_n_vars(name)
+        rows = _evidence_exact(np.random.default_rng([11, n_vars]), 8, n_vars)
+        traced = queries._max_product(cached_tape(spn), rows)
+        differing = []
+        for i, (row, completion) in enumerate(zip(rows, traced)):
+            expected, score = max_product(spn, row_evidence(row))
+            if completion == expected:
+                continue
+            # The tape sums a product's children in the lowering's balanced
+            # order, so a near-tie may pick another tree of the same score.
+            differing.append(i)
+            other = max_product(spn, completion)[1]
+            assert other == pytest.approx(score, rel=1e-12, abs=0), (
+                f"{name} row {i}: traced {completion}, oracle {expected}"
+            )
+        if differing:
+            warnings.warn(f"{name}: rows {differing} resolve a near-tie differently")
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_refined_completions_are_local_maxima(self, name):
+        spn, n_vars = build_benchmark(name), benchmark_n_vars(name)
+        rows = _evidence_exact(np.random.default_rng([12, n_vars]), 3, n_vars)
+        tape = cached_tape(spn)
+        domains = queries._indicator_domains(spn)
+        for row, completion in zip(rows, queries._max_product(tape, rows)):
+            evidence = row_evidence(row)
+            refined = queries._refine_assignment(tape, completion, set(evidence), domains)
+            assert all(refined[var] == value for var, value in evidence.items())
+            best = evaluate_log(spn, refined)
+            slack = 1e-9 * abs(best)
+            assert best >= evaluate_log(spn, completion) - slack
+            for var in set(refined) - set(evidence):
+                for value in domains[var] - {refined[var]}:
+                    flipped = {**refined, var: value}
+                    assert evaluate_log(spn, flipped) <= best + slack, (name, var)

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro.api import InferenceSession
 from repro.lifecycle.artifact import build_artifact, save_artifact
 from repro.lifecycle.registry import ModelRegistry
 from repro.spn.compiled import CompiledTape, TapeKernel, cached_tape
@@ -41,7 +42,7 @@ from repro.statics import (
     verify_compiled,
     verify_tape,
 )
-from repro.suite.registry import benchmark_names, benchmark_tape
+from repro.suite.registry import benchmark_names, benchmark_tape, build_benchmark
 
 from strategies import rat_spn_configs
 from test_memplan import fusable_tape
@@ -171,6 +172,21 @@ class TestGates:
         plan.max_live += 1
         evaluate_batch(spn, data, engine="vectorized", check=True)
         assert getattr(plan, "_statics_verified", False)
+
+    @pytest.mark.parametrize("name", ["Banknote", "KDDCup2k"])
+    def test_publish_gate_proves_the_plan_a_session_runs(self, name):
+        """Publishing a session proves the (tape, plan) pair its passes run,
+        as publishing an artifact does: every corpus mutation the verifier
+        rejects, adopted into a session, is rejected by the gate."""
+        tape = benchmark_tape(name)
+        for mutator in sorted(MUTATORS):
+            mutated_tape, mutated_plan = mutate(mutator, tape, tape.memory_plan(), seed=3)
+            with pytest.raises(VerificationError):
+                verify_compiled(mutated_tape, mutated_plan)
+            session = InferenceSession(build_benchmark(name), tape=mutated_tape)
+            mutated_tape.adopt_plan(mutated_plan)
+            with pytest.raises(VerificationError):
+                ModelRegistry().publish("m", "1", session)
 
     def test_publish_gate_rejects_corrupt_artifact(self):
         spn = generate_spn(GeneratorConfig(n_vars=5, seed=11))
