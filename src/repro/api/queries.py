@@ -427,8 +427,8 @@ class MPE(Query):
 
     Returns one ``{var: value}`` assignment per row (exact by enumeration
     for small free state spaces, max-product with optional coordinate-ascent
-    ``refine`` otherwise — :func:`repro.spn.queries.mpe_row`, which runs
-    its candidate scoring through the vectorized log-domain tape).
+    ``refine`` otherwise) — one batched search over the compiled tape,
+    :func:`repro.spn.queries.mpe_batch`.
     """
 
     kind: ClassVar[QueryKind] = QueryKind.MPE

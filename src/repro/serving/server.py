@@ -127,8 +127,7 @@ __all__ = [
 #: The query kinds a server answers — the shared :class:`repro.api.QueryKind`
 #: vocabulary (``str``-valued enum members, so they compare equal to the
 #: historical raw strings).  The value kinds batch through the compiled
-#: tape; ``mpe`` runs the exact per-row MPE engine (itself backed by the
-#: vectorized log-domain tape).
+#: tape; ``mpe`` runs the session's batched MPE search over the same tape.
 KIND_LIKELIHOOD = QueryKind.LIKELIHOOD
 KIND_LOG_LIKELIHOOD = QueryKind.LOG_LIKELIHOOD
 KIND_MARGINAL = QueryKind.MARGINAL
@@ -345,8 +344,8 @@ class InferenceServer:
         wait window, queue depth).
     n_workers:
         Worker threads pulling micro-batches.  One worker already keeps the
-        NumPy kernels busy; more help when MPE queries (per-row Python work)
-        mix with batched likelihoods.
+        NumPy kernels busy; more help when MPE queries (Python-side search
+        work) mix with batched likelihoods.
     slow_query_s:
         Slow-query threshold in seconds.  A request whose submit-to-result
         latency meets it is logged at WARNING on the ``repro.serving``

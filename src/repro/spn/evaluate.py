@@ -316,21 +316,14 @@ def tape_pass(
     if check:
         from .compiled import cross_check
 
-        if log_domain:
-            cross_check(
-                result,
-                data,
-                lambda head: evaluate_log_batch(spn, head, engine="python"),
-                atol=1e-12,
-                what="vectorized log engine",
-            )
-        else:
-            cross_check(
-                result,
-                data,
-                lambda head: evaluate_batch(spn, head, engine="python"),
-                atol=1e-300,
-            )
+        reference = evaluate_log_batch if log_domain else evaluate_batch
+        cross_check(
+            result,
+            data,
+            lambda head: reference(spn, head, engine="python"),
+            atol=1e-12 if log_domain else 1e-300,
+            what="vectorized log engine" if log_domain else "vectorized engine",
+        )
     return result
 
 

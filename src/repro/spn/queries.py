@@ -18,6 +18,7 @@ from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
+from .compiled import _BLOCK_BYTES, cached_tape
 from .evaluate import MARGINALIZED, row_evidence
 from .graph import SPN
 from .nodes import IndicatorLeaf
@@ -30,9 +31,6 @@ __all__ = ["mpe_row", "mpe_batch"]
 #: found by scoring them all in one log pass of the tape.
 _MPE_EXACT_BUDGET = 4096
 
-#: Target size of the dense slot matrix of one max-product block.
-_BLOCK_BYTES = 8 << 20
-
 
 def mpe_row(
     spn: SPN, evidence: Optional[Mapping[int, int]] = None, refine: bool = True
@@ -44,8 +42,6 @@ def mpe_row(
     read off the graph.  Absent variables and negative values are
     unobserved.
     """
-    from .compiled import cached_tape
-
     observed = {var: value for var, value in (evidence or {}).items() if value >= 0}
     domains = _indicator_domains(spn)
     width = max([*domains, *observed], default=-1) + 1
@@ -126,6 +122,7 @@ def _max_product(tape, data: np.ndarray) -> List[Dict[int, int]]:
     """
     indicators = [s for s in tape.inputs if s.kind == "indicator"]
     ind_slots = np.array([s.index for s in indicators], dtype=np.intp)
+    # Row blocks keep the dense slot matrix cache-sized, as tape passes do.
     block = max(1, _BLOCK_BYTES // (8 * tape.n_slots))
     results: List[Dict[int, int]] = []
     for start in range(0, len(data), block):

@@ -42,7 +42,7 @@ from repro.statics import (
     verify_compiled,
     verify_tape,
 )
-from repro.suite.registry import benchmark_names, benchmark_tape, build_benchmark
+from repro.suite.registry import benchmark_names, benchmark_tape, get_profile
 
 from strategies import rat_spn_configs
 from test_memplan import fusable_tape
@@ -183,7 +183,10 @@ class TestGates:
             mutated_tape, mutated_plan = mutate(mutator, tape, tape.memory_plan(), seed=3)
             with pytest.raises(VerificationError):
                 verify_compiled(mutated_tape, mutated_plan)
-            session = InferenceSession(build_benchmark(name), tape=mutated_tape)
+            # A fresh model: adopting the mutant into the shared
+            # ``build_benchmark`` SPN would serve it to every later test.
+            spn = generate_rat_spn(get_profile(name).generator_config())
+            session = InferenceSession(spn, tape=mutated_tape)
             mutated_tape.adopt_plan(mutated_plan)
             with pytest.raises(VerificationError):
                 ModelRegistry().publish("m", "1", session)
