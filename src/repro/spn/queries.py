@@ -120,18 +120,17 @@ def _max_product(tape, data: np.ndarray) -> List[Dict[int, int]]:
     lowering's balanced order, so a near-tie can resolve differently from
     a left-to-right walk of the graph; the two scores agree to rounding.
     """
-    indicators = [s for s in tape.inputs if s.kind == "indicator"]
-    ind_slots = np.array([s.index for s in indicators], dtype=np.intp)
+    ind_vars, ind_values = tape._ind_vars.tolist(), tape._ind_values.tolist()
     # Row blocks keep the dense slot matrix cache-sized, as tape passes do.
     block = max(1, _BLOCK_BYTES // (8 * tape.n_slots))
     results: List[Dict[int, int]] = []
     for start in range(0, len(data), block):
         rows = data[start:start + block]
-        active = _active_inputs(tape, rows)[ind_slots]
+        active = _active_inputs(tape, rows)[tape._ind_slots]
         for row, on in zip(rows, active.T):
             assignment = row_evidence(row)
             for k in np.flatnonzero(on):
-                assignment.setdefault(indicators[k].var, indicators[k].value)
+                assignment.setdefault(ind_vars[k], ind_values[k])
             results.append(assignment)
     return results
 
@@ -153,12 +152,17 @@ def _active_inputs(tape, rows: np.ndarray) -> np.ndarray:
     active = np.zeros(slots.shape, dtype=bool)
     active[tape.root_slot] = True
     for kernel, left in zip(reversed(tape.kernels), reversed(left_won)):
-        lanes = active[kernel.dest_start:kernel.dest_stop]
-        # ``.at`` accumulates where an operand vector repeats a slot (a
-        # child shared by several sums of one level); ``active[i] |= x``
-        # would keep only the last lane's mark.
-        np.logical_or.at(active, kernel.arg0, lanes if left is None else lanes & left)
-        np.logical_or.at(active, kernel.arg1, lanes if left is None else lanes & ~left)
+        # Only the active (lane, row) pairs scatter.  Storing True is
+        # idempotent, so a slot that several lanes read (a child shared by
+        # sums of one level) stays marked however many of them are active;
+        # ``active[arg] |= lanes`` would keep only one lane's mark.
+        lane, row = np.nonzero(active[kernel.dest_start:kernel.dest_stop])
+        if left is None:
+            active[kernel.arg0[lane], row] = True
+            active[kernel.arg1[lane], row] = True
+        else:
+            winner = np.where(left[lane, row], kernel.arg0[lane], kernel.arg1[lane])
+            active[winner, row] = True
     return active[: tape.n_inputs]
 
 
