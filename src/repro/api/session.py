@@ -449,8 +449,8 @@ class InferenceSession:
         if isinstance(query, MPE):
             from ..spn.queries import mpe_batch
 
-            # The reference engine has no passes of its own to pin; its
-            # MPE search runs on the model's cached tape like the others.
+            # The reference engine pins no tape, but MPE scores its
+            # candidates on the model's compiled tape on every engine.
             tape = pin.tape if pin.tape is not None else cached_tape(self.spn)
             return mpe_batch(
                 tape, self.encode(query.evidence), self._domains(pin), query.refine
