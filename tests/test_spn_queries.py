@@ -18,6 +18,7 @@ from repro.spn import queries
 from repro.spn.compiled import cached_tape
 from repro.spn.datasets import DatasetSpec, generate_dataset
 from repro.spn.evaluate import evaluate, evaluate_log, row_evidence
+from repro.spn.generate import GeneratorConfig, generate_spn, random_evidence
 from repro.spn.learn import learn_spn
 from repro.spn.queries import mpe_row
 from repro.suite.registry import benchmark_n_vars, benchmark_names, build_benchmark
@@ -227,6 +228,17 @@ class TestMpeSearch:
             )
         if differing:
             warnings.warn(f"{name}: rows {differing} resolve a near-tie differently")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_max_product_trace_matches_node_walk_on_random_networks(self, seed):
+        # Recursive random SPNs: uneven fan-outs, so binarized sums and
+        # products do not come in the suite's regular shapes.
+        spn = generate_spn(GeneratorConfig(n_vars=5 + seed, seed=seed))
+        n_vars = max(spn.variables()) + 1
+        rows = random_evidence(n_vars, observed_fraction=0.5, seed=seed, n_samples=12)
+        traced = queries._max_product(cached_tape(spn), rows)
+        for row, completion in zip(rows, traced):
+            assert completion == max_product(spn, row_evidence(row))[0]
 
     @pytest.mark.parametrize("name", benchmark_names())
     def test_refined_completions_are_local_maxima(self, name):
