@@ -4,9 +4,9 @@ The NumPy executor (:func:`repro.spn.memplan.execute_plan`) pays a few
 microseconds of dispatch per planned kernel whatever the row count, and a
 large batch streams every row block through memory once per kernel.  This
 module runs the same plan in C instead.  One model-independent function
-(:data:`_SOURCE`) walks the plan's kernels in plan order over blocks of up
-to 32 evidence rows, so a block's live rows stay in cache from the kernel
-that encodes them to the kernel that last reads them:
+(:data:`_SOURCE`) walks the plan's kernels in plan order over blocks of
+:data:`BLOCK` evidence rows, so a block's live rows stay in cache from the
+kernel that encodes them to the kernel that last reads them:
 
 * before a kernel, it encodes the kernel's fresh indicator rows from the
   int64 evidence (1.0 when the value is negative, equals the indicator's
@@ -16,6 +16,25 @@ that encodes them to the kernel that last reads them:
   lane, an operand being a physical row or a broadcast constant;
 * the final kernel writes the root straight into the caller's output when
   the plan is ``root_direct``; otherwise the root row is copied out once.
+
+The loop is shaped so that a full block's lanes are nothing but
+full-width vector arithmetic:
+
+* one ``static inline`` block body is instantiated twice: for full blocks
+  with the height fixed at compile time, so each lane is a fixed number of
+  vector operations with no remainder loop, and for a short pass or the
+  last partial block with the runtime height.  Each instance is an
+  out-of-line function, so it allocates its registers apart from the row
+  loop that calls it;
+* each kernel picks its opcode and operand kinds (row/row, constant/row,
+  row/constant, constant/constant) once, outside its lane loop;
+* each call makes one ``malloc`` of ``n_physical * min(n_rows, BLOCK)``
+  doubles plus 64 bytes and rounds the pointer up to 64 bytes.  ``BLOCK``
+  doubles are whole cache lines, so no row of a full block straddles one.
+  Over-allocating by 64 bytes keeps the buffer's size and the allocator's
+  path as they were: a per-call ``aligned_alloc``, or a buffer always
+  sized for a full block, each raised ``serve_open``'s peak RSS
+  (docs/performance.md).
 
 The C reads the concatenated arrays that ``MemoryPlan.__post_init__``
 builds — the ones the static verifier proves — plus per-kernel counts and
@@ -56,19 +75,25 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["HOST_FLAGS", "PORTABLE_FLAGS", "available", "build_flags", "execute"]
+__all__ = ["BLOCK", "HOST_FLAGS", "PORTABLE_FLAGS", "available", "build_flags", "execute"]
 
 logger = logging.getLogger("repro.spn")
+
+#: Rows per block, the one place the height is written (:data:`_SOURCE` is
+#: formatted from it).  Chosen from kernel time summed over the suite at 1,
+#: 48, 1,024 and 4,096 rows; 16 rows ran under half as fast
+#: (docs/performance.md).
+BLOCK = 24
 
 #: The interpreter.  Rows of a block sit ``stride`` doubles apart in the
 #: buffer (``stride`` = the block height, at most ``BLOCK``); each kernel
 #: is one ``FIELDS``-wide record of the table :func:`_plan_args` builds.
-_SOURCE = r"""
+_SOURCE = f"#define BLOCK {BLOCK}\n" + r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-#define BLOCK 32
+#define ALIGN 64
 
 enum { MUL, DEST, WIDTH, CONST0, OFF0, CONST1, OFF1, IND, N_IND, CST, N_CST, FIELDS };
 
@@ -81,54 +106,90 @@ typedef struct {
     const double *const_probs;
 } plan_t;
 
-#define LANE(X, Y)                                                       \
-    do {                                                                 \
-        if (mul) for (int64_t r = 0; r < nb; r++) d[r] = (X) * (Y);      \
-        else for (int64_t r = 0; r < nb; r++) d[r] = (X) + (Y);          \
-    } while (0)
+/* Lane j reads operand a (b) as a row, a[r], or as a broadcast constant. */
+#define ROW_A const double *a = buf + p->rows0[m[OFF0] + j] * stride
+#define ROW_B const double *b = buf + p->rows1[m[OFF1] + j] * stride
+#define CST_A const double a = p->consts0[m[OFF0] + j]
+#define CST_B const double b = p->consts1[m[OFF1] + j]
+#define LANES(GET_A, GET_B, X, OP, Y)                                    \
+    for (int64_t j = 0; j < m[WIDTH]; j++) {                             \
+        double *d = dest + j * stride;                                   \
+        GET_A;                                                           \
+        GET_B;                                                           \
+        for (int64_t r = 0; r < nb; r++) d[r] = X OP Y;                  \
+    }                                                                    \
+    break
+
+/* Every kernel, in plan order, over one block of nb <= stride rows. */
+static inline __attribute__((always_inline)) void
+run_block(const plan_t *p, double *buf, const int64_t *ev, int64_t n_cols,
+          int64_t nb, int64_t stride, double *out)
+{
+    for (int64_t k = 0; k < p->n_kernels; k++) {
+        const int64_t *m = p->kernels + k * FIELDS;
+        for (int64_t i = m[IND]; i < m[IND] + m[N_IND]; i++) {
+            double *row = buf + p->ind_rows[i] * stride;
+            const int64_t var = p->ind_vars[i], value = p->ind_values[i];
+            for (int64_t r = 0; r < nb; r++) {
+                const int64_t e = var < n_cols ? ev[r * n_cols + var] : -1;
+                row[r] = (e < 0 || e == value) ? 1.0 : 0.0;
+            }
+        }
+        for (int64_t i = m[CST]; i < m[CST] + m[N_CST]; i++) {
+            double *row = buf + p->const_rows[i] * stride;
+            for (int64_t r = 0; r < nb; r++) row[r] = p->const_probs[i];
+        }
+        double *dest = p->root_direct && k == p->n_kernels - 1
+            ? out : buf + m[DEST] * stride;
+        /* One branch per kernel: its opcode and operand kinds. */
+        switch (4 * (m[MUL] != 0) + 2 * (m[CONST0] != 0) + (m[CONST1] != 0)) {
+        case 0: LANES(ROW_A, ROW_B, a[r], +, b[r]);
+        case 1: LANES(ROW_A, CST_B, a[r], +, b);
+        case 2: LANES(CST_A, ROW_B, a, +, b[r]);
+        case 3: LANES(CST_A, CST_B, a, +, b);
+        case 4: LANES(ROW_A, ROW_B, a[r], *, b[r]);
+        case 5: LANES(ROW_A, CST_B, a[r], *, b);
+        case 6: LANES(CST_A, ROW_B, a, *, b[r]);
+        default: LANES(CST_A, CST_B, a, *, b);
+        }
+    }
+    if (!p->root_direct)
+        memcpy(out, buf + p->root_phys * stride, sizeof(double) * (size_t)nb);
+}
+
+/* A full block: BLOCK is a compile-time trip count, so no lane has a
+   remainder loop.  Both instances stay out of line, each with its own
+   registers: inlined into run_plan, they made a one-row pass slower than
+   the single runtime-height loop they replace. */
+static __attribute__((noinline)) void
+full_block(const plan_t *p, double *buf, const int64_t *ev, int64_t n_cols, double *out)
+{
+    run_block(p, buf, ev, n_cols, BLOCK, BLOCK, out);
+}
+
+/* A short pass, or the last partial block of a long one. */
+static __attribute__((noinline)) void
+part_block(const plan_t *p, double *buf, const int64_t *ev, int64_t n_cols,
+           int64_t nb, int64_t stride, double *out)
+{
+    run_block(p, buf, ev, n_cols, nb, stride, out);
+}
 
 int run_plan(const plan_t *p, const int64_t *data, int64_t n_rows,
              int64_t n_cols, double *out)
 {
     const int64_t stride = n_rows < BLOCK ? n_rows : BLOCK;
-    double *buf = malloc(sizeof(double) * (size_t)(p->n_physical * stride));
-    if (buf == NULL) return -1;
-    for (int64_t r0 = 0; r0 < n_rows; r0 += BLOCK) {
-        const int64_t nb = n_rows - r0 < BLOCK ? n_rows - r0 : BLOCK;
-        const int64_t *ev = data + r0 * n_cols;
-        for (int64_t k = 0; k < p->n_kernels; k++) {
-            const int64_t *m = p->kernels + k * FIELDS;
-            for (int64_t i = m[IND]; i < m[IND] + m[N_IND]; i++) {
-                double *row = buf + p->ind_rows[i] * stride;
-                const int64_t var = p->ind_vars[i], value = p->ind_values[i];
-                for (int64_t r = 0; r < nb; r++) {
-                    const int64_t e = var < n_cols ? ev[r * n_cols + var] : -1;
-                    row[r] = (e < 0 || e == value) ? 1.0 : 0.0;
-                }
-            }
-            for (int64_t i = m[CST]; i < m[CST] + m[N_CST]; i++) {
-                double *row = buf + p->const_rows[i] * stride;
-                for (int64_t r = 0; r < nb; r++) row[r] = p->const_probs[i];
-            }
-            const int mul = m[MUL] != 0;
-            double *dest = p->root_direct && k == p->n_kernels - 1
-                ? out + r0 : buf + m[DEST] * stride;
-            for (int64_t j = 0; j < m[WIDTH]; j++) {
-                double *d = dest + j * stride;
-                const double *a = buf + (m[CONST0] ? 0 : p->rows0[m[OFF0] + j] * stride);
-                const double *b = buf + (m[CONST1] ? 0 : p->rows1[m[OFF1] + j] * stride);
-                const double ca = m[CONST0] ? p->consts0[m[OFF0] + j] : 0.0;
-                const double cb = m[CONST1] ? p->consts1[m[OFF1] + j] : 0.0;
-                if (!m[CONST0] && !m[CONST1]) LANE(a[r], b[r]);
-                else if (!m[CONST1]) LANE(ca, b[r]);
-                else if (!m[CONST0]) LANE(a[r], cb);
-                else LANE(ca, cb);
-            }
-        }
-        if (!p->root_direct)
-            memcpy(out + r0, buf + p->root_phys * stride, sizeof(double) * (size_t)nb);
-    }
-    free(buf);
+    /* Over-allocated by ALIGN bytes and rounded up, so rows start on a
+       cache line (every row does when stride is BLOCK). */
+    char *raw = malloc(sizeof(double) * (size_t)(p->n_physical * stride) + ALIGN);
+    if (raw == NULL) return -1;
+    double *buf = (double *)(((uintptr_t)raw + ALIGN - 1) & ~(uintptr_t)(ALIGN - 1));
+    int64_t r0 = 0;
+    for (; r0 + BLOCK <= n_rows; r0 += BLOCK)
+        full_block(p, buf, data + r0 * n_cols, n_cols, out + r0);
+    if (r0 < n_rows)
+        part_block(p, buf, data + r0 * n_cols, n_cols, n_rows - r0, stride, out + r0);
+    free(raw);
     return 0;
 }
 """
@@ -397,6 +458,6 @@ def execute(plan, data: np.ndarray) -> np.ndarray:
     if n_rows and _function(address, data.ctypes.data, n_rows, n_cols, out.ctypes.data):
         raise MemoryError(
             f"native plan interpreter could not allocate {plan.n_physical} x "
-            f"{min(n_rows, 32)} block rows"
+            f"{min(n_rows, BLOCK)} block rows"
         )
     return out

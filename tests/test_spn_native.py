@@ -1,17 +1,22 @@
 """Tests for the native plan interpreter (:mod:`repro.spn.native`).
 
 Covers bit-identity with the dense reference (``execute_slots``) across
-block boundaries, evidence widths and dtypes, on the host-width build and
-on the portable one; that linear passes really run natively when a
-compiler exists (and profiled or exact-log passes do not); the fallback
-chain (a compiler that rejects the host-width flags builds the portable
-library, no working build runs NumPy); the plan checks that keep a
-malformed plan out of C; concurrent passes over one plan; and one build
-under concurrent first calls.
+block boundaries, evidence widths and dtypes and every operand-kind branch
+of the C loop, on the host-width build and on the portable one; that linear
+passes really run natively when a compiler exists (and profiled or
+exact-log passes do not); the fallback chain (a compiler that rejects the
+host-width flags builds the portable library, no working build runs
+NumPy); that the source compiles without warnings and without FMA
+instructions; the plan checks that keep a malformed plan out of C;
+concurrent passes over one plan; and one build under concurrent first
+calls.
 """
 
 import logging
 import os
+import platform
+import re
+import subprocess
 import sys
 import threading
 import time
@@ -32,6 +37,12 @@ from repro.suite.registry import benchmark_n_vars, benchmark_names, benchmark_ta
 needs_compiler = pytest.mark.skipif(
     native._find_compiler() is None, reason="no C compiler on PATH"
 )
+
+B = native.BLOCK
+#: Pass heights around the block boundaries: short passes, one full block,
+#: a full block plus a tail one short of, equal to and one past an 8-double
+#: vector, and several full blocks plus a tail.
+BOUNDARY_ROWS = sorted({0, 1, B - 1, B, B + 1, B + 7, B + 8, B + 9, 2 * B + 3, 100})
 
 
 def dense_root(tape, data, log_domain=False, chunk=512):
@@ -69,6 +80,56 @@ def forget_build(monkeypatch):
     monkeypatch.setattr(native, "_flags", ())
 
 
+def indicator(index, value=1):
+    return InputSlot(index=index, kind="indicator", var=index, value=value)
+
+
+def tape_of(inputs, ops, root):
+    return compile_tape(
+        OperationList(
+            inputs=inputs,
+            operations=[
+                Operation(index=i, op=op, arg0=a, arg1=b) for i, (op, a, b) in enumerate(ops)
+            ],
+            root_slot=root,
+        )
+    )
+
+
+#: Operand kinds of a kernel's two sides: a row ("row") or a broadcast
+#: constant ("const"), a weight read by no other lane.
+OPERAND_KINDS = ("row_row", "const_row", "row_const", "const_const")
+
+
+def hand_built_tape(kind, root_direct):
+    """A tape whose first add and first mul kernels both read ``kind`` operands.
+
+    A final mul multiplies the two; with ``root_direct`` off it gets a
+    second, dead lane and the root is that kernel's second lane, so every
+    block copies the root row out instead of computing into the output.
+    """
+    sides = kind.split("_")
+    inputs = []
+    args = []
+    for lane in range(4):  # add(arg0, arg1), mul(arg0, arg1)
+        index = len(inputs)
+        if sides[lane % 2] == "row":
+            inputs.append(indicator(index, value=lane % 2))
+        else:
+            inputs.append(InputSlot(index=index, kind="weight", prob=0.2 + 0.15 * lane))
+        args.append(index)
+    n = len(inputs)
+    ops = [(OP_ADD, args[0], args[1]), (OP_MUL, args[2], args[3]), (OP_MUL, n, n + 1)]
+    if not root_direct:
+        ops.append((OP_MUL, n + 1, n))
+    tape = tape_of(inputs, ops, n + len(ops) - 1)
+    meta = tape.memory_plan()._kernel_meta
+    assert {(bool(c0), bool(c1)) for c0, c1 in zip(meta["c0"][:2], meta["c1"][:2])} == {
+        (sides[0] == "const", sides[1] == "const")
+    }
+    return tape
+
+
 @needs_compiler
 class TestBitIdentity:
     """The identity matrix on the host-width build."""
@@ -84,7 +145,7 @@ class TestBitIdentity:
         monkeypatch.setattr(native, "_flags", self.FLAGS)
 
     @pytest.mark.parametrize("name", benchmark_names())
-    @pytest.mark.parametrize("n_rows", [0, 1, 31, 32, 33, 100])
+    @pytest.mark.parametrize("n_rows", BOUNDARY_ROWS)
     def test_suite_roots_equal_dense_reference(self, name, n_rows):
         tape = benchmark_tape(name)
         plan = tape.memory_plan()
@@ -95,39 +156,30 @@ class TestBitIdentity:
             assert root.shape == (n_rows,)
             assert np.array_equal(root, dense_root(tape, data))
 
-    @pytest.mark.parametrize("case", ["root_copied_out", "constant_rows"])
+    @pytest.mark.parametrize(
+        "case",
+        ["row_row", "const_row", "row_const", "const_const", "root_copied_out", "constant_rows"],
+    )
     def test_hand_built_plans_equal_dense_reference(self, case):
-        def indicator(index, value=1):
-            return InputSlot(index=index, kind="indicator", var=index, value=value)
-
         if case == "root_copied_out":
-            # The root is the second lane of a two-lane final kernel, so
-            # every block copies its row out instead of computing into out.
-            inputs = [indicator(i) for i in range(4)]
-            ops = [(OP_MUL, 0, 1), (OP_MUL, 2, 3)]
-            root = 5
-        else:
+            # Every operand kind with the root copied out of the block.
+            tapes = [hand_built_tape(kind, root_direct=False) for kind in OPERAND_KINDS]
+        elif case == "constant_rows":
             # The weight is read by two kernels, so it is not a broadcast
             # operand: its row is encoded into the block like an indicator.
             inputs = [indicator(0), indicator(1, 0), InputSlot(index=2, kind="weight", prob=0.3)]
-            ops = [(OP_MUL, 2, 0), (OP_MUL, 3, 1), (OP_ADD, 4, 2)]
-            root = 5
-        tape = compile_tape(
-            OperationList(
-                inputs=inputs,
-                operations=[
-                    Operation(index=i, op=op, arg0=a, arg1=b) for i, (op, a, b) in enumerate(ops)
-                ],
-                root_slot=root,
-            )
-        )
-        plan = tape.memory_plan()
-        if case == "root_copied_out":
-            assert not plan.root_direct
+            tapes = [tape_of(inputs, [(OP_MUL, 2, 0), (OP_MUL, 3, 1), (OP_ADD, 4, 2)], 5)]
+            assert tapes[0].memory_plan()._encode_meta[5].size  # constant rows to encode
         else:
-            assert plan._encode_meta[5].size  # constant rows to encode
-        data = random_evidence(len(inputs), observed_fraction=0.6, seed=4, n_samples=70)
-        assert np.array_equal(native.execute(plan, data), dense_root(tape, data))
+            tapes = [hand_built_tape(case, root_direct=True)]
+        for tape in tapes:
+            plan = tape.memory_plan()
+            assert plan.root_direct == (case != "root_copied_out")
+            for n_rows in (B - 1, 2 * B + 3):  # a short pass; full blocks and a tail
+                data = random_evidence(
+                    len(tape.inputs), observed_fraction=0.6, seed=n_rows, n_samples=n_rows
+                )
+                assert np.array_equal(native.execute(plan, data), dense_root(tape, data))
 
     @pytest.mark.parametrize("name", ["Banknote", "KDDCup2k"])
     def test_large_batch_equals_dense_reference(self, name):
@@ -228,6 +280,45 @@ class TestBuild:
     def test_default_build_is_host_width(self):
         assert native.available()
         assert native.build_flags() == native.HOST_FLAGS
+
+    @needs_compiler
+    @pytest.mark.parametrize(
+        "flags", [native.HOST_FLAGS, native.PORTABLE_FLAGS], ids=["host", "portable"]
+    )
+    def test_source_compiles_without_warnings(self, builds, flags):
+        if builds[flags] is None:
+            pytest.skip(f"the compiler rejects {' '.join(flags)}")
+        function, _, note = native._build(((*flags, "-Wall", "-Wextra", "-Werror"),))
+        assert function is not None, note
+
+    @pytest.mark.skipif(
+        native._find_compiler() is None or platform.machine().lower() not in ("x86_64", "amd64"),
+        reason="needs a C compiler on an x86-64 host",
+    )
+    def test_host_build_emits_no_fma(self, builds, tmp_path):
+        # A fused multiply-add rounds once where the dense reference rounds
+        # twice, so one FMA anywhere breaks bit-identity.
+        if builds[native.HOST_FLAGS] is None:
+            pytest.skip(f"the compiler rejects {' '.join(native.HOST_FLAGS)}")
+
+        def fma_instructions(source, flags):
+            c_file, asm = tmp_path / "source.c", tmp_path / "source.s"
+            c_file.write_text(source)
+            subprocess.run(
+                [native._find_compiler(), *flags, "-S", "-o", str(asm), str(c_file)],
+                check=True, capture_output=True, timeout=120,
+            )
+            return re.findall(r"\bv(?:fmadd|fmsub|fnmadd|fnmsub)\w*", asm.read_text())
+
+        assert fma_instructions(native._SOURCE, native.HOST_FLAGS) == []
+        # The flags, not the source's shape, keep them out: the same
+        # multiply-add loop compiles to FMAs once contraction is allowed.
+        axpy = (
+            "void axpy(double c, const double *x, double *y, long n)\n"
+            "{ for (long r = 0; r < n; r++) y[r] = c * x[r] + y[r]; }\n"
+        )
+        assert fma_instructions(axpy, ("-O3", "-mfma"))
+        assert fma_instructions(axpy, (*native.HOST_FLAGS, "-mfma")) == []
 
     def test_concurrent_first_calls_build_once(self, monkeypatch):
         built = []
